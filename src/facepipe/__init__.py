@@ -12,7 +12,6 @@ from facepipe.pointcloud import (
     apply_transform,
     crop_sphere,
     load_ply,
-    nearest,
     save_ply,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "apply_transform",
     "crop_sphere",
     "load_ply",
-    "nearest",
     "save_ply",
     "__version__",
 ]

@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,19 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from facepipe.augmentation import AugmentPlan, apply_patches, augment_subject
-from facepipe.depthmap import (
-    DepthMap,
-    RenderParams,
-    export_pgm,
-    load_pgm,
-    median_filter,
-    normalize,
-    render_depth,
-    resize,
-)
+from facepipe.depthmap import DepthMap, RenderParams, export_pgm, load_pgm, render_pipeline
 from facepipe.embedding import (
+    ExternalBackend,
     baseline_train,
-    external_backend,
     pca_fit_variance,
     pca_transform,
     sqrt_normalize,
@@ -70,18 +62,6 @@ class ToyModelConfig:
 
 
 @dataclass(frozen=True)
-class RenderConfig:
-    crop_radius: float = 100.0
-    output_size: int = 200
-    final_size: int = 224
-    median_kernel: int = 3
-    fixed_depth_range: tuple[float, float] | None = None
-
-    def params(self) -> RenderParams:
-        return RenderParams(self.crop_radius, self.output_size)
-
-
-@dataclass(frozen=True)
 class EmbeddingConfig:
     backend: str = "baseline"  # "baseline" | "external"
     dimension: int = 256
@@ -103,7 +83,7 @@ class PipelineConfig:
     toy_model: ToyModelConfig = field(default_factory=ToyModelConfig)
     icp: IcpParams = field(default_factory=IcpParams)
     fit: FitConfig = field(default_factory=FitConfig)
-    render: RenderConfig = field(default_factory=RenderConfig)
+    render: RenderParams = field(default_factory=RenderParams)
     augment: AugmentPlan = field(default_factory=AugmentPlan)
     embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
     matching: MatchingConfig = field(default_factory=MatchingConfig)
@@ -121,25 +101,15 @@ class PipelineConfig:
 
 
 def _build(cls, data: dict, where: str):
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(known)
+    """Instantiate a config dataclass, recursing into dataclass-typed fields."""
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown config keys in {where}: {sorted(unknown)}")
+    types = typing.get_type_hints(cls)
     kwargs = {}
     for name, value in data.items():
-        if name == "fixed_depth_range" and value is not None:
-            value = (float(value[0]), float(value[1]))
-        elif isinstance(value, dict):
-            nested = {
-                "toy_model": ToyModelConfig,
-                "icp": IcpParams,
-                "fit": FitConfig,
-                "render": RenderConfig,
-                "augment": AugmentPlan,
-                "embedding": EmbeddingConfig,
-                "matching": MatchingConfig,
-            }[name]
-            value = _build(nested, value, f"{where}.{name}")
+        if isinstance(value, dict) and dataclasses.is_dataclass(types[name]):
+            value = _build(types[name], value, f"{where}.{name}")
         kwargs[name] = value
     return cls(**kwargs)
 
@@ -298,14 +268,6 @@ def cmd_augment(input_dir, output_dir, config: PipelineConfig, workers: int = 1)
     return _report(results)
 
 
-def render_pipeline(cloud: PointCloud, render_cfg: RenderConfig) -> DepthMap:
-    """Render, median-filter, normalize, and resize one aligned cloud."""
-    dmap = render_depth(cloud, render_cfg.params())
-    dmap = median_filter(dmap, render_cfg.median_kernel)
-    dmap = normalize(dmap, render_cfg.fixed_depth_range)
-    return resize(dmap, render_cfg.final_size)
-
-
 def cmd_render(
     input_dir, output_dir, config: PipelineConfig, patches: bool = False, workers: int = 1
 ) -> int:
@@ -345,7 +307,7 @@ def _make_backend(config: PipelineConfig, gallery_maps: dict[str, DepthMap]):
     if emb.backend == "external":
         if emb.feature_dir is None:
             raise ValueError("external backend requires embedding.feature_dir")
-        return external_backend(emb.feature_dir)
+        return ExternalBackend(emb.feature_dir)
     if emb.backend != "baseline":
         raise ValueError(f"unknown embedding backend {emb.backend!r}")
     if emb.train_dir is not None:
@@ -399,18 +361,14 @@ def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> 
     results = []
     genuine: list[float] = []
     impostor: list[float] = []
-    rank1 = rank2 = 0
     for stem in sorted(probe_feats):
         true_id = _subject_of(stem)
         ranked = identify(pca_transform(pca, probe_feats[stem]), gallery)
         results.append((true_id, ranked))
-        top = [sid for sid, _ in ranked]
-        rank1 += top[0] == true_id
-        rank2 += true_id in top[:2]
         best_genuine = min(d for sid, d in ranked if sid == true_id)
         genuine.append(best_genuine)
         impostor.extend(d for sid, d in ranked if sid != true_id)
-        log.info("probe %s: rank-1 %s (distance %.6f)", stem, top[0], ranked[0][1])
+        log.info("probe %s: rank-1 %s (distance %.6f)", stem, ranked[0][0], ranked[0][1])
 
     curve = cmc(results, max_rank=len(gallery))
     roc_curve = roc(genuine, impostor)
@@ -428,8 +386,8 @@ def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> 
     summary = {
         "gallery_size": len(gallery),
         "probe_count": len(results),
-        "rank1_accuracy": rank1 / len(results),
-        "rank2_accuracy": rank2 / len(results),
+        "rank1_accuracy": float(curve[0]),
+        "rank2_accuracy": float(curve[min(1, len(curve) - 1)]),
         "pca_components": pca.k,
         "pca_mode": mode,
         "backend": config.embedding.backend,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +15,7 @@ __all__ = [
     "EmptyRenderError",
     "bilinear_weights",
     "render_depth",
+    "render_pipeline",
     "median_filter",
     "normalize",
     "resize",
@@ -88,12 +88,18 @@ class DepthMap:
 class RenderParams:
     crop_radius: float = 100.0  # mm; also sets the pixels-per-mm scale
     output_size: int = 200
+    final_size: int = 224
+    median_kernel: int = 3
+    fixed_depth_range: tuple[float, float] | None = None  # None: per-image min/max
 
     def __post_init__(self):
         if self.crop_radius <= 0:
             raise ValueError("crop_radius must be positive")
         if self.output_size < 2:
             raise ValueError("output_size must be >= 2")
+        r = self.fixed_depth_range
+        if r is not None:
+            object.__setattr__(self, "fixed_depth_range", (float(r[0]), float(r[1])))
 
 
 def render_depth(cloud: PointCloud, params: RenderParams = RenderParams()) -> DepthMap:
@@ -142,11 +148,10 @@ def median_filter(dmap: DepthMap, kernel: int = 3) -> DepthMap:
     )
     padded[pad:-pad, pad:-pad] = np.where(dmap.valid, dmap.depth, np.nan)
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel))
-    with warnings.catch_warnings():
-        # all-NaN windows only occur at invalid centers, masked out below
-        warnings.simplefilter("ignore", RuntimeWarning)
-        med = np.nanmedian(windows.reshape(dmap.height, dmap.width, -1), axis=2)
-    depth = np.where(dmap.valid, med, 0.0)
+    windows = windows.reshape(dmap.height, dmap.width, -1)
+    # Only valid centers are filtered, so no window is all-NaN.
+    depth = np.zeros((dmap.height, dmap.width))
+    depth[dmap.valid] = np.nanmedian(windows[dmap.valid], axis=1)
     return DepthMap(depth, dmap.valid)
 
 
@@ -200,6 +205,14 @@ def resize(dmap: DepthMap, target: int) -> DepthMap:
     depth = sample(dmap.depth)
     valid = sample(dmap.valid.astype(np.float64)) >= 0.5
     return DepthMap(np.where(valid, depth, 0.0), valid)
+
+
+def render_pipeline(cloud: PointCloud, params: RenderParams = RenderParams()) -> DepthMap:
+    """Render, median-filter, normalize, and resize one aligned cloud."""
+    dmap = render_depth(cloud, params)
+    dmap = median_filter(dmap, params.median_kernel)
+    dmap = normalize(dmap, params.fixed_depth_range)
+    return resize(dmap, params.final_size)
 
 
 def pgm_bytes(dmap: DepthMap) -> bytes:

@@ -30,7 +30,6 @@ __all__ = [
     "pca_fit_variance",
     "pca_transform",
     "baseline_train",
-    "external_backend",
     "write_feature_file",
     "read_feature_file",
     "feature_hash",
@@ -98,32 +97,24 @@ def _pca_eig(features: np.ndarray):
     n, d = x.shape
     mean = x.mean(axis=0)
     xc = x - mean
-    if n <= d:
-        gram = xc @ xc.T / (n - 1)
-        evals, evecs = np.linalg.eigh(gram)
-        order = np.argsort(evals)[::-1]
-        evals = evals[order]
-        evecs = evecs[:, order]
-        tol = max(evals[0], 0.0) * 1e-12
-        rank = int(np.sum(evals > tol))
-        if rank == 0:
-            raise ValueError("degenerate input: all feature vectors identical")
+    gram = n <= d
+    evals, evecs = np.linalg.eigh((xc @ xc.T if gram else xc.T @ xc) / (n - 1))
+    order = np.argsort(evals)[::-1]
+    evals = evals[order]
+    evecs = evecs[:, order]
+    tol = max(evals[0], 0.0) * 1e-12
+    rank = int(np.sum(evals > tol))
+    if rank == 0:
+        raise ValueError("degenerate input: all feature vectors identical")
+    evals = evals[:rank]
+    if gram:
+        # Map each Gram eigenvector back to feature space: xc.T @ v.
         comps = np.empty((rank, d))
         for i in range(rank):
             vec = xc.T @ evecs[:, i]
             comps[i] = vec / np.linalg.norm(vec)
-        evals = evals[:rank]
     else:
-        cov = xc.T @ xc / (n - 1)
-        evals, evecs = np.linalg.eigh(cov)
-        order = np.argsort(evals)[::-1]
-        evals = evals[order]
-        tol = max(evals[0], 0.0) * 1e-12
-        rank = int(np.sum(evals > tol))
-        if rank == 0:
-            raise ValueError("degenerate input: all feature vectors identical")
-        comps = evecs[:, order][:, :rank].T.copy()
-        evals = evals[:rank]
+        comps = evecs[:, :rank].T.copy()
 
     # Deterministic sign: largest-magnitude entry of each component positive.
     for row in comps:
@@ -265,7 +256,3 @@ class ExternalBackend:
                 f"{self._dimension}"
             )
         return values
-
-
-def external_backend(directory) -> ExternalBackend:
-    return ExternalBackend(directory)

@@ -166,17 +166,6 @@ def _solve_ridge(a: np.ndarray, b: np.ndarray, ridge: float) -> np.ndarray:
     return x
 
 
-def _umeyama(source: np.ndarray, target: np.ndarray) -> RigidTransform:
-    """Least-squares rigid transform mapping source points onto target points."""
-    mu_s = source.mean(axis=0)
-    mu_t = target.mean(axis=0)
-    h = (source - mu_s).T @ (target - mu_t)
-    u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return RigidTransform(rot, mu_t - rot @ mu_s)
-
-
 def fit(model: MorphableModel, scan: PointCloud, config: FitConfig = FitConfig()) -> FitResult:
     """Alternate nearest correspondences, rigid pose, and ridge solves for alpha, beta.
 
@@ -209,7 +198,7 @@ def fit(model: MorphableModel, scan: PointCloud, config: FitConfig = FitConfig()
             break
         prev_rmse = rmse
 
-        pose = _umeyama(model_pts, targets)
+        pose = RigidTransform.procrustes(model_pts, targets)
         rot = pose.rotation
 
         # alpha solve: targets ~ R @ (mean + Ps a + Pe b) + t

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,7 +19,6 @@ __all__ = [
     "save_ply",
     "apply_transform",
     "crop_sphere",
-    "nearest",
     "rotation_zyx",
     "euler_angles_zyx",
 ]
@@ -95,6 +93,21 @@ class RigidTransform:
     @classmethod
     def identity(cls) -> "RigidTransform":
         return cls(np.eye(3), np.zeros(3))
+
+    @classmethod
+    def procrustes(cls, source: np.ndarray, target: np.ndarray) -> "RigidTransform":
+        """Least-squares rigid transform mapping source points onto target points.
+
+        Closed-form SVD solve (Umeyama 1991) with the reflection case
+        folded into a proper rotation.
+        """
+        mu_s = source.mean(axis=0)
+        mu_t = target.mean(axis=0)
+        h = (source - mu_s).T @ (target - mu_t)
+        u, _, vt = np.linalg.svd(h)
+        d = np.sign(np.linalg.det(vt.T @ u.T))
+        rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+        return cls(rot, mu_t - rot @ mu_s)
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -201,11 +214,6 @@ class NeighborIndex:
         return best_d, best_i
 
 
-def nearest(index: NeighborIndex, p) -> int:
-    """Argmin over squared Euclidean distance; ties go to the lowest index."""
-    return index.query(p)
-
-
 def apply_transform(cloud: PointCloud, transform: RigidTransform) -> PointCloud:
     """Rigidly move every point and landmark: p -> R @ p + t."""
     return PointCloud(
@@ -234,17 +242,12 @@ def crop_sphere(cloud: PointCloud, center, radius: float) -> PointCloud:
 # ("<stem>.landmarks.json") so the PLY itself stays standard.
 # ---------------------------------------------------------------------------
 
-_PLY_SCALAR_SIZES = {
-    "char": 1, "int8": 1, "uchar": 1, "uint8": 1,
-    "short": 2, "int16": 2, "ushort": 2, "uint16": 2,
-    "int": 4, "int32": 4, "uint": 4, "uint32": 4,
-    "float": 4, "float32": 4, "double": 8, "float64": 8,
-}
-_PLY_STRUCT_CODES = {
-    "char": "b", "int8": "b", "uchar": "B", "uint8": "B",
-    "short": "h", "int16": "h", "ushort": "H", "uint16": "H",
-    "int": "i", "int32": "i", "uint": "I", "uint32": "I",
-    "float": "f", "float32": "f", "double": "d", "float64": "d",
+# PLY scalar type name -> little-endian numpy dtype.
+_PLY_DTYPES = {
+    "char": "<i1", "int8": "<i1", "uchar": "<u1", "uint8": "<u1",
+    "short": "<i2", "int16": "<i2", "ushort": "<u2", "uint16": "<u2",
+    "int": "<i4", "int32": "<i4", "uint": "<u4", "uint32": "<u4",
+    "float": "<f4", "float32": "<f4", "double": "<f8", "float64": "<f8",
 }
 
 
@@ -295,7 +298,7 @@ def load_ply(path) -> PointCloud:
                 raise PlyParseError(f"{path}: property before any element (line {i})")
             if tok[1] == "list":
                 elements[-1][2].append(("list",) + tuple(tok[2:]))
-            elif len(tok) == 3 and tok[1] in _PLY_SCALAR_SIZES:
+            elif len(tok) == 3 and tok[1] in _PLY_DTYPES:
                 elements[-1][2].append((tok[1], tok[2]))
             else:
                 raise PlyParseError(f"{path}: bad property {line!r} (line {i})")
@@ -352,18 +355,16 @@ def load_ply(path) -> PointCloud:
             )
         if any(p[0] == "list" for p in props):
             raise PlyParseError(f"{path}: list properties on vertices are unsupported")
-        stride = sum(_PLY_SCALAR_SIZES[p[0]] for p in props)
-        need = stride * n_vertices
+        # packed record; fields are named by position since names may repeat
+        record = np.dtype([(f"f{k}", _PLY_DTYPES[p[0]]) for k, p in enumerate(props)])
+        need = record.itemsize * n_vertices
         if len(raw) - offset < need:
             raise PlyParseError(
                 f"{path}: truncated body, need {need} bytes of vertex data, "
                 f"have {len(raw) - offset} (byte {offset})"
             )
-        rec = struct.Struct("<" + "".join(_PLY_STRUCT_CODES[p[0]] for p in props))
-        pts = np.empty((n_vertices, 3), dtype=np.float64)
-        for r in range(n_vertices):
-            row = rec.unpack_from(raw, offset + r * stride)
-            pts[r] = [row[c] for c in xyz_cols]
+        rows = np.frombuffer(raw, dtype=record, count=n_vertices, offset=offset)
+        pts = np.column_stack([rows[f"f{c}"] for c in xyz_cols]).astype(np.float64)
 
     landmarks = {}
     sidecar = _landmark_sidecar(path)

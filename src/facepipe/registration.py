@@ -22,12 +22,8 @@ __all__ = [
     "PreprocessError",
     "detect_nose_tip",
     "rigid_icp",
-    "preprocess",
     "preprocess_with_result",
-    "DEFAULT_CROP_RADIUS",
 ]
-
-DEFAULT_CROP_RADIUS = 100.0  # mm, facial-region crop around the nose tip
 
 
 class NoseDetectionError(RuntimeError):
@@ -151,7 +147,7 @@ def rigid_icp(
         mean_dist = float(dist[keep].mean())
         history.append(mean_dist)
 
-        step = _svd_rigid_update(moved[keep], reference.points[idx[keep]])
+        step = RigidTransform.procrustes(moved[keep], reference.points[idx[keep]])
         moved = step.apply(moved)
         total = step.compose(total)
 
@@ -175,24 +171,19 @@ def _accept_mask(dist: np.ndarray, multiplier: float, floor: float) -> np.ndarra
     return dist <= multiplier * scale
 
 
-def _svd_rigid_update(source: np.ndarray, target: np.ndarray) -> RigidTransform:
-    mu_s = source.mean(axis=0)
-    mu_t = target.mean(axis=0)
-    h = (source - mu_s).T @ (target - mu_t)
-    u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return RigidTransform(rot, mu_t - rot @ mu_s)
-
-
 def preprocess_with_result(
     cloud: PointCloud,
     reference: PointCloud,
     params: IcpParams = IcpParams(),
-    crop_radius: float = DEFAULT_CROP_RADIUS,
+    crop_radius: float = 100.0,
     reference_index: NeighborIndex | None = None,
 ) -> tuple[PointCloud, IcpResult]:
-    """preprocess() that also returns the ICP result for logging."""
+    """Nose-crop a scan and align it rigidly to the reference face.
+
+    Pipeline: detect the nose tip, keep the sphere of crop_radius (mm)
+    around it, translate the nose onto the reference nose, refine with ICP,
+    and return the aligned crop together with the ICP result.
+    """
     try:
         nose = detect_nose_tip(cloud)
     except NoseDetectionError as exc:
@@ -213,20 +204,3 @@ def preprocess_with_result(
     except IcpDivergenceError as exc:
         raise PreprocessError(f"icp: {exc}") from exc
     return apply_transform(cropped, result.transform), result
-
-
-def preprocess(
-    cloud: PointCloud,
-    reference: PointCloud,
-    params: IcpParams = IcpParams(),
-    crop_radius: float = DEFAULT_CROP_RADIUS,
-    reference_index: NeighborIndex | None = None,
-) -> PointCloud:
-    """Nose-crop a scan and align it rigidly to the reference face.
-
-    Pipeline: detect the nose tip, keep the sphere of crop_radius around
-    it, translate the nose onto the reference nose, refine with ICP, and
-    return the aligned crop.
-    """
-    aligned, _ = preprocess_with_result(cloud, reference, params, crop_radius, reference_index)
-    return aligned

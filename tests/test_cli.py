@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from facepipe.cli import (
+    PipelineConfig,
     cmd_augment,
     cmd_evaluate,
     cmd_preprocess,
@@ -80,6 +82,44 @@ class TestConfig:
         path.write_text(json.dumps({"sead": 5}))
         with pytest.raises(ValueError, match="sead"):
             load_config(path)
+
+    def test_unknown_nested_key_names_its_section(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"render": {"output_size": 64, "blur": 2}}))
+        with pytest.raises(ValueError, match=r"config\.render.*blur"):
+            load_config(path)
+
+    def test_resolved_config_round_trip(self, tmp_path):
+        data = {
+            "seed": 3,
+            "reference_model_path": "ref.ply",
+            "morphable_model_path": "model.mlmm",
+            "toy_model": {"n_vertices": 900, "ks": 4, "ke": 6, "seed": 2},
+            "icp": {"max_iterations": 40, "convergence_eps": 1e-3, "rejection_multiplier": 4.0},
+            "fit": {"max_outer": 7, "convergence_eps": 1e-3, "ridge": 0.5},
+            "render": {"crop_radius": 90.0, "output_size": 64, "final_size": 96,
+                       "median_kernel": 5, "fixed_depth_range": [-10, 80]},
+            "augment": {"expressions_per_subject": 2, "poses_per_scan": 3,
+                        "patch_variants_per_scan": 1, "angle_bound": 5.0,
+                        "translation_bound": 4.0, "patch_count": 2, "patch_size": 6,
+                        "seed": 11},
+            "embedding": {"backend": "external", "dimension": 8, "pca_variance_target": 0.9,
+                          "train_dir": "train", "feature_dir": "feats"},
+            "matching": {"pca_mode": "gallery"},
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        cfg = load_config(path)
+        assert cfg.render.fixed_depth_range == (-10.0, 80.0)
+        assert all(type(v) is float for v in cfg.render.fixed_depth_range)
+        defaults = PipelineConfig()
+        for f in dataclasses.fields(PipelineConfig):
+            assert getattr(cfg, f.name) != getattr(defaults, f.name), f.name
+
+        resolved = tmp_path / "config.resolved.json"
+        resolved.write_text(json.dumps(dataclasses.asdict(cfg)))
+        assert json.loads(resolved.read_text())["render"]["fixed_depth_range"] == [-10.0, 80.0]
+        assert load_config(resolved) == cfg
 
 
 class TestPreprocess:

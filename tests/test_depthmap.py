@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,20 @@ class TestMedianFilter:
         depth = rng.uniform(0, 50, (9, 9))
         m = DepthMap(depth, np.ones((9, 9), bool))
         np.testing.assert_allclose(median_filter(m, 5).depth, median_oracle(m, 5), atol=1e-12)
+
+    def test_invalid_regions_raise_no_warning(self):
+        # windows around invalid centers are all-NaN; none may warn
+        depth = np.zeros((12, 12))
+        valid = np.zeros((12, 12), bool)
+        valid[2:5, 2:5] = True
+        valid[9, 9] = True
+        depth[valid] = np.arange(1.0, 11.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = median_filter(DepthMap(depth, valid))
+        assert [str(w.message) for w in caught] == []
+        assert out.depth[9, 9] == 10.0
+        assert not out.depth[~valid].any()
 
     def test_rejects_even_kernel(self):
         m = DepthMap(np.zeros((4, 4)), np.ones((4, 4), bool))

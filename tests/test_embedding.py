@@ -3,10 +3,10 @@ import pytest
 
 from facepipe.depthmap import DepthMap
 from facepipe.embedding import (
+    ExternalBackend,
     FeatureFormatError,
     FeatureLookupError,
     baseline_train,
-    external_backend,
     feature_hash,
     pca_fit,
     pca_fit_variance,
@@ -189,14 +189,14 @@ class TestExternalBackend:
         dmap = self._normalized_map(rng)
         stored = rng.normal(size=4096)
         write_feature_file(stored, tmp_path / f"{feature_hash(dmap)}.fvec")
-        backend = external_backend(tmp_path)
+        backend = ExternalBackend(tmp_path)
         np.testing.assert_array_equal(backend.embed(dmap), stored)
         assert backend.dimension == 4096
 
     def test_missing_hash_names_it(self, tmp_path):
         rng = np.random.default_rng(15)
         dmap = self._normalized_map(rng)
-        backend = external_backend(tmp_path)
+        backend = ExternalBackend(tmp_path)
         with pytest.raises(FeatureLookupError, match=feature_hash(dmap)):
             backend.embed(dmap)
 
@@ -206,7 +206,7 @@ class TestExternalBackend:
         path = tmp_path / f"{feature_hash(dmap)}.fvec"
         write_feature_file(rng.normal(size=8), path)
         path.write_bytes(path.read_bytes()[:-8])
-        backend = external_backend(tmp_path)
+        backend = ExternalBackend(tmp_path)
         with pytest.raises(FeatureFormatError):
             backend.embed(dmap)
 

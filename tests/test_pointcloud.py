@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from facepipe.pointcloud import (
     EmptyCropError,
@@ -11,9 +15,15 @@ from facepipe.pointcloud import (
     crop_sphere,
     euler_angles_zyx,
     load_ply,
-    nearest,
     rotation_zyx,
     save_ply,
+)
+
+
+angles = st.tuples(*[st.floats(-180.0, 180.0)] * 3)
+shifts = st.tuples(*[st.floats(-100.0, 100.0)] * 3)
+rigid_transforms = st.builds(
+    lambda a, t: RigidTransform(rotation_zyx(*a), np.array(t)), angles, shifts
 )
 
 
@@ -76,6 +86,39 @@ class TestRigidTransform:
         mask = d0 > 0
         assert np.abs(d1[mask] / d0[mask] - 1.0).max() < 1e-6
 
+    @given(rigid_transforms, rigid_transforms)
+    @settings(max_examples=60, deadline=None)
+    def test_compose_inverse_identities(self, a, b):
+        pts = np.random.default_rng(0).uniform(-50, 50, (10, 3))
+        ident = a.compose(a.inverse())
+        np.testing.assert_allclose(ident.rotation, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(ident.translation, np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(a.compose(b).apply(pts), a.apply(b.apply(pts)), atol=1e-9)
+        lhs = a.compose(b).inverse()
+        rhs = b.inverse().compose(a.inverse())
+        np.testing.assert_allclose(lhs.rotation, rhs.rotation, atol=1e-12)
+        np.testing.assert_allclose(lhs.translation, rhs.translation, atol=1e-9)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 40), rigid_transforms)
+    @settings(max_examples=60, deadline=None)
+    def test_procrustes_recovers_motion(self, seed, n, truth):
+        pts = np.random.default_rng(seed).uniform(-50, 50, (n, 3))
+        # non-collinear: the centered points span at least a plane
+        assume(np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)[1] > 1.0)
+        est = RigidTransform.procrustes(pts, truth.apply(pts))
+        assert np.linalg.det(est.rotation) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(est.rotation, truth.rotation, atol=1e-9)
+        np.testing.assert_allclose(est.translation, truth.translation, atol=1e-8)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_procrustes_never_reflects(self, seed, n):
+        rng = np.random.default_rng(seed)
+        source = rng.normal(size=(n, 3))
+        for target in (rng.normal(size=(n, 3)), source * [1.0, 1.0, -1.0]):
+            est = RigidTransform.procrustes(source, target)
+            assert np.linalg.det(est.rotation) == pytest.approx(1.0, abs=1e-12)
+
     def test_euler_round_trip(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -116,15 +159,15 @@ class TestNeighborIndex:
     def test_query_stored_point(self):
         pts = np.array([[0.0, 0, 0], [5, 0, 0], [0, 5, 0]])
         idx = NeighborIndex(pts)
-        assert nearest(idx, [5.0, 0, 0]) == 1
+        assert idx.query([5.0, 0, 0]) == 1
 
     def test_tie_prefers_lowest_index(self):
         pts = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
         idx = NeighborIndex(pts)
-        assert nearest(idx, [0.0, 0, 0]) == 0
+        assert idx.query([0.0, 0, 0]) == 0
         # and regardless of insertion order
         idx2 = NeighborIndex(pts[::-1].copy())
-        assert nearest(idx2, [0.0, 0, 0]) == 0
+        assert idx2.query([0.0, 0, 0]) == 0
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(42)
@@ -132,7 +175,7 @@ class TestNeighborIndex:
         idx = NeighborIndex(pts)
         queries = rng.uniform(-12, 12, (100, 3))
         for q in queries:
-            assert nearest(idx, q) == brute_force_nearest(pts, q)
+            assert idx.query(q) == brute_force_nearest(pts, q)
 
     def test_query_many_matches_single(self):
         rng = np.random.default_rng(1)
@@ -218,22 +261,34 @@ class TestPlyIO:
         with pytest.raises(PlyParseError, match="line 1"):
             load_ply(f)
 
-    def test_binary_little_endian(self, tmp_path):
-        import struct
-
-        pts = np.array([[1.5, -2.25, 3.0], [0.125, 8.0, -1.0]], dtype=np.float32)
+    @pytest.mark.parametrize(
+        "props",
+        [
+            [("float", "x"), ("float", "y"), ("float", "z"), ("uchar", "quality")],
+            [("double", "x"), ("double", "y"), ("double", "z")],
+            [("short", "flags"), ("int", "id"), ("float", "x"), ("float", "y"), ("float", "z")],
+        ],
+        ids=["float", "double", "int-before-x"],
+    )
+    def test_binary_little_endian(self, tmp_path, props):
+        codes = {"uchar": "B", "short": "h", "int": "i", "float": "f", "double": "d"}
+        extra = {"quality": 7, "flags": -3, "id": 70000}
+        pts = np.array([[1.5, -2.25, 3.0], [0.1, 8.0, -1.0 / 3.0]])
+        rec = "<" + "".join(codes[t] for t, _ in props)
         header = (
             "ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
-            "property float x\nproperty float y\nproperty float z\n"
-            "property uchar quality\nend_header\n"
+            + "".join(f"property {t} {name}\n" for t, name in props)
+            + "end_header\n"
         ).encode()
         body = b""
         for p in pts:
-            body += struct.pack("<fffB", *p, 7)
+            coords = dict(zip("xyz", p))
+            body += struct.pack(rec, *[coords.get(name, extra.get(name)) for _, name in props])
         f = tmp_path / "bin.ply"
         f.write_bytes(header + body)
         cloud = load_ply(f)
-        np.testing.assert_array_equal(cloud.points, pts.astype(np.float64))
+        width = np.float64 if props[0][0] == "double" else np.float32
+        np.testing.assert_array_equal(cloud.points, pts.astype(width).astype(np.float64))
 
     def test_binary_truncated(self, tmp_path):
         header = (

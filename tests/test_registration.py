@@ -15,7 +15,7 @@ from facepipe.registration import (
     NoseDetectionError,
     PreprocessError,
     detect_nose_tip,
-    preprocess,
+    preprocess_with_result,
     rigid_icp,
 )
 
@@ -117,7 +117,7 @@ class TestRigidIcp:
 
 class TestPreprocess:
     def test_reference_maps_to_cropped_reference(self, reference):
-        out = preprocess(reference, reference)
+        out, _ = preprocess_with_result(reference, reference)
         nose = detect_nose_tip(reference)
         expected = crop_sphere(reference, nose, 100.0)
         assert len(out) == len(expected)
@@ -127,7 +127,7 @@ class TestPreprocess:
     def test_recovers_pitch_and_offset(self, reference):
         t = RigidTransform(rotation_zyx(8.0, 0.0, 0.0), np.array([5.0, 0.0, 0.0]))
         moved = apply_transform(reference, t)
-        out = preprocess(moved, reference)
+        out, _ = preprocess_with_result(moved, reference)
         index = NeighborIndex(reference.points)
         dist, _ = index.query_many(out.points)
         assert np.sqrt(np.mean(dist**2)) < 0.5
@@ -135,8 +135,8 @@ class TestPreprocess:
     def test_idempotent_within_tolerance(self, reference):
         t = RigidTransform(rotation_zyx(-5.0, 3.0, 2.0), np.array([2.0, 4.0, -3.0]))
         moved = apply_transform(reference, t)
-        once = preprocess(moved, reference)
-        twice = preprocess(once, reference)
+        once, _ = preprocess_with_result(moved, reference)
+        twice, _ = preprocess_with_result(once, reference)
         index = NeighborIndex(once.points)
         dist, _ = index.query_many(twice.points)
         assert np.sqrt(np.mean(dist**2)) < 0.1
@@ -145,7 +145,7 @@ class TestPreprocess:
         rng = np.random.default_rng(3)
         flat = np.column_stack([rng.uniform(-50, 50, (400, 2)), np.zeros(400)])
         with pytest.raises(PreprocessError, match="nose detection"):
-            preprocess(PointCloud(flat), reference)
+            preprocess_with_result(PointCloud(flat), reference)
 
     def test_crop_failure_names_stage(self, reference):
         # landmark far from every point: nose detection passes, crop is empty
@@ -154,4 +154,4 @@ class TestPreprocess:
             rng.uniform(-40, 40, (200, 3)), {"nose_tip": [5000.0, 0.0, 0.0]}
         )
         with pytest.raises(PreprocessError, match="crop"):
-            preprocess(cloud, reference)
+            preprocess_with_result(cloud, reference)

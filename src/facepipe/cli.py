@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from facepipe.augmentation import AugmentPlan, apply_patches, augment_subject
-from facepipe.depthmap import DepthMap, RenderParams, export_pgm, load_pgm, render_pipeline
+from facepipe.depthmap import RenderParams, export_pgm, load_pgm, render_pipeline
 from facepipe.embedding import (
     ExternalBackend,
     baseline_train,
@@ -35,7 +35,7 @@ from facepipe.embedding import (
     pca_transform,
     sqrt_normalize,
 )
-from facepipe.matching import Gallery, MatchAccountingError, cmc, identify, roc
+from facepipe.matching import Gallery, MatchAccountingError, cmc, roc
 from facepipe.morphable import FitConfig, MorphableModel, load_model, make_toy_model
 from facepipe.pointcloud import NeighborIndex, PointCloud, load_ply, save_ply
 from facepipe.registration import IcpParams, preprocess_with_result
@@ -295,14 +295,14 @@ def cmd_render(
     return _report(results)
 
 
-def _load_maps(directory: Path) -> dict[str, DepthMap]:
-    files = sorted(Path(directory).glob("*.pgm"))
+def _pgm_files(directory) -> list[Path]:
+    files = sorted(Path(directory).glob("*.pgm"), key=lambda f: f.stem)
     if not files:
         raise FileNotFoundError(f"no inputs: no .pgm files in {directory}")
-    return {f.stem: load_pgm(f) for f in files}
+    return files
 
 
-def _make_backend(config: PipelineConfig, gallery_maps: dict[str, DepthMap]):
+def _make_backend(config: PipelineConfig, gallery_dir):
     emb = config.embedding
     if emb.backend == "external":
         if emb.feature_dir is None:
@@ -310,10 +310,7 @@ def _make_backend(config: PipelineConfig, gallery_maps: dict[str, DepthMap]):
         return ExternalBackend(emb.feature_dir)
     if emb.backend != "baseline":
         raise ValueError(f"unknown embedding backend {emb.backend!r}")
-    if emb.train_dir is not None:
-        train_maps = list(_load_maps(Path(emb.train_dir)).values())
-    else:
-        train_maps = list(gallery_maps.values())
+    train_maps = [load_pgm(f) for f in _pgm_files(emb.train_dir or gallery_dir)]
     return baseline_train(train_maps, emb.dimension, config.render.final_size)
 
 
@@ -324,54 +321,37 @@ def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> 
     """
     report_dir = Path(report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
-    gallery_maps = _load_maps(Path(gallery_dir))
-    probe_maps = _load_maps(Path(probe_dir))
+    gallery_files = _pgm_files(gallery_dir)
+    probe_files = _pgm_files(probe_dir)
 
-    gallery_subjects = {_subject_of(stem) for stem in gallery_maps}
-    missing = sorted(
-        stem for stem in probe_maps if _subject_of(stem) not in gallery_subjects
-    )
+    gallery_ids = [_subject_of(f.stem) for f in gallery_files]
+    true_ids = [_subject_of(f.stem) for f in probe_files]
+    enrolled = set(gallery_ids)
+    missing = sorted(f.stem for f, sid in zip(probe_files, true_ids) if sid not in enrolled)
     if missing:
-        raise MatchAccountingError(
-            f"probe subjects absent from gallery: {', '.join(missing)}"
-        )
-
-    backend = _make_backend(config, gallery_maps)
-    gallery_feats = {
-        stem: sqrt_normalize(backend.embed(m)) for stem, m in gallery_maps.items()
-    }
-    probe_feats = {
-        stem: sqrt_normalize(backend.embed(m)) for stem, m in probe_maps.items()
-    }
-
+        raise MatchAccountingError(f"probe subjects absent from gallery: {', '.join(missing)}")
     mode = config.matching.pca_mode
     if mode not in ("union", "gallery"):
         raise ValueError(f"unknown pca_mode {mode!r}")
-    fit_feats = list(gallery_feats.values())
-    if mode == "union":
-        fit_feats += list(probe_feats.values())
-    cap = max(1, len(gallery_feats) - 1)
-    pca = pca_fit_variance(
-        np.stack(fit_feats), config.embedding.pca_variance_target, cap
-    )
 
-    gallery = Gallery(
-        [(_subject_of(stem), pca_transform(pca, f)) for stem, f in sorted(gallery_feats.items())]
+    backend = _make_backend(config, gallery_dir)
+    # one sqrt-normalized feature row per map; the maps themselves are not kept
+    gallery_feats, probe_feats = (
+        np.stack([sqrt_normalize(backend.embed(load_pgm(f))) for f in files])
+        for files in (gallery_files, probe_files)
     )
-    results = []
-    genuine: list[float] = []
-    impostor: list[float] = []
-    for stem in sorted(probe_feats):
-        true_id = _subject_of(stem)
-        ranked = identify(pca_transform(pca, probe_feats[stem]), gallery)
-        results.append((true_id, ranked))
-        best_genuine = min(d for sid, d in ranked if sid == true_id)
-        genuine.append(best_genuine)
-        impostor.extend(d for sid, d in ranked if sid != true_id)
-        log.info("probe %s: rank-1 %s (distance %.6f)", stem, ranked[0][0], ranked[0][1])
+    fit = gallery_feats if mode == "gallery" else np.vstack([gallery_feats, probe_feats])
+    pca = pca_fit_variance(fit, config.embedding.pca_variance_target, max(1, len(gallery_ids) - 1))
+    del fit
 
-    curve = cmc(results, max_rank=len(gallery))
-    roc_curve = roc(genuine, impostor)
+    gallery = Gallery(zip(gallery_ids, pca_transform(pca, gallery_feats)))
+    scores = gallery.identity_distances(pca_transform(pca, probe_feats))
+    for f, row, best in zip(probe_files, scores.values, scores.values.argmin(axis=1)):
+        log.info("probe %s: rank-1 %s (distance %.6f)", f.stem, scores.subjects[best], row[best])
+
+    curve = cmc(scores, true_ids)
+    own = scores.own(true_ids)  # genuine: own identity; impostor: each other one
+    roc_curve = roc(scores.values[own], scores.values[~own])
 
     with (report_dir / "cmc.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -385,7 +365,7 @@ def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> 
             writer.writerow([repr(float(far)), repr(float(vr))])
     summary = {
         "gallery_size": len(gallery),
-        "probe_count": len(results),
+        "probe_count": len(probe_files),
         "rank1_accuracy": float(curve[0]),
         "rank2_accuracy": float(curve[min(1, len(curve) - 1)]),
         "pca_components": pca.k,
@@ -398,7 +378,7 @@ def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> 
     _write_resolved_config(config, report_dir)
     log.info(
         "evaluate: rank-1 %.4f rank-2 %.4f over %d probes",
-        summary["rank1_accuracy"], summary["rank2_accuracy"], len(results),
+        summary["rank1_accuracy"], summary["rank2_accuracy"], len(probe_files),
     )
     return 0
 

@@ -247,12 +247,13 @@ def load_pgm(path) -> DepthMap:
         maxval = int(parts[2])
     except ValueError:
         raise ValueError(f"{path}: malformed PGM header") from None
+    if width <= 0 or height <= 0:
+        raise ValueError(f"{path}: malformed PGM header")
     if maxval != 65535:
         raise ValueError(f"{path}: expected 16-bit PGM, maxval {maxval}")
-    try:
-        values = np.frombuffer(parts[3], dtype=">u2", count=width * height)
-    except ValueError:
-        raise ValueError(f"{path}: truncated PGM body") from None
+    if len(parts[3]) < 2 * width * height:
+        raise ValueError(f"{path}: truncated PGM body")
+    values = np.frombuffer(parts[3], dtype=">u2", count=width * height)
     grid = values.reshape(height, width).astype(np.float64) / 257.0
     valid = grid > 0
     return DepthMap(np.where(valid, grid, 0.0), valid)

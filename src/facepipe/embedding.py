@@ -154,14 +154,14 @@ def pca_fit_variance(features, variance_target: float, cap: int) -> PcaModel:
 
 
 def pca_transform(model: PcaModel, values: np.ndarray) -> np.ndarray:
-    """Project (v - mean) onto the component rows; accepts a vector or batch."""
+    """Project (v - mean) onto the component rows; each row of a batch alone."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape[-1] != model.mean.shape[0]:
         raise ValueError(
             f"dimension {values.shape[-1]} does not match model dimension "
             f"{model.mean.shape[0]}"
         )
-    return (values - model.mean) @ model.components.T
+    return np.matmul((values - model.mean)[..., None, :], model.components.T)[..., 0, :]
 
 
 class BaselineBackend:

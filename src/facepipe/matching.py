@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
     "Gallery",
+    "IdentityDistances",
     "ZeroNormError",
     "MatchAccountingError",
-    "cosine_distance",
     "identify",
     "cmc",
     "roc",
@@ -21,6 +23,20 @@ class ZeroNormError(ValueError):
 
 class MatchAccountingError(ValueError):
     """A probe's true identity is missing from the gallery."""
+
+
+class IdentityDistances(NamedTuple):
+    """values[p, s]: probe p's distance to its nearest gallery entry of subjects[s]."""
+
+    subjects: tuple[str, ...]  # in order of first appearance in the gallery
+    values: np.ndarray  # (P, S)
+
+    def own(self, true_ids) -> np.ndarray:
+        """(P, S) mask of each probe's own identity; an absent one raises, by name."""
+        absent = sorted(set(true_ids) - set(self.subjects))
+        if absent:
+            raise MatchAccountingError(f"true id {absent[0]!r} absent from gallery")
+        return np.array(self.subjects) == np.array(true_ids)[:, None]
 
 
 class Gallery:
@@ -46,31 +62,31 @@ class Gallery:
     def dimension(self) -> int:
         return self.features.shape[1]
 
-    def distances(self, probe: np.ndarray) -> np.ndarray:
-        """Cosine distance from the probe to every entry, in gallery order."""
-        probe = np.asarray(probe, dtype=np.float64).reshape(-1)
-        if probe.shape[0] != self.dimension:
+    def distances(self, probes: np.ndarray) -> np.ndarray:
+        """Cosine distance, in gallery order: (G,) for a vector, (P, G) for a batch."""
+        probes = np.asarray(probes, dtype=np.float64)
+        batch = np.atleast_2d(probes)
+        if batch.ndim != 2 or batch.shape[1] != self.dimension:
             raise ValueError(
-                f"probe dimension {probe.shape[0]} != gallery dimension {self.dimension}"
+                f"probe dimension {batch.shape[-1]} != gallery dimension {self.dimension}"
             )
-        norm = np.linalg.norm(probe)
-        if norm == 0:
+        # Stacked matrix-vector products: each row is bitwise what a lone probe
+        # gets (one gemm sums in another order and moves exact self-matches).
+        column = batch[:, :, None]
+        norms = np.sqrt(np.matmul(batch[:, None, :], column)[:, 0, 0])
+        if np.any(norms == 0):
             raise ZeroNormError("probe feature has zero norm")
-        sims = (self.features @ probe) / (self._norms * norm)
-        return 1.0 - np.clip(sims, -1.0, 1.0)
+        sims = np.matmul(self.features, column)[:, :, 0] / np.outer(norms, self._norms)
+        dist = 1.0 - np.clip(sims, -1.0, 1.0)
+        return dist[0] if probes.ndim == 1 else dist
 
-
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cos(angle between a and b); 0 for parallel, 2 for opposite."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise ZeroNormError("cosine distance undefined for zero-norm vectors")
-    return 1.0 - float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+    def identity_distances(self, probes: np.ndarray) -> IdentityDistances:
+        """Per-identity minimum of distances() for a (P, d) batch of probes."""
+        dist = self.distances(np.atleast_2d(probes))
+        subjects = tuple(dict.fromkeys(self.subject_ids))
+        owner = np.array(self.subject_ids)
+        values = np.column_stack([dist[:, owner == sid].min(axis=1) for sid in subjects])
+        return IdentityDistances(subjects, values)
 
 
 def identify(probe: np.ndarray, gallery: Gallery) -> list[tuple[str, float]]:
@@ -80,22 +96,18 @@ def identify(probe: np.ndarray, gallery: Gallery) -> list[tuple[str, float]]:
     return [(gallery.subject_ids[i], float(dist[i])) for i in order]
 
 
-def cmc(all_results, max_rank: int) -> np.ndarray:
-    """curve[r-1] = fraction of probes whose true id appears within rank r."""
-    all_results = list(all_results)
-    if not all_results:
-        raise ValueError("need at least one probe result")
-    if max_rank < 1:
-        raise ValueError("max_rank must be >= 1")
-    hits = np.zeros(max_rank)
-    for true_id, ranked in all_results:
-        ids = [sid for sid, _ in ranked]
-        if true_id not in ids:
-            raise MatchAccountingError(f"true id {true_id!r} absent from gallery")
-        rank = ids.index(true_id) + 1
-        if rank <= max_rank:
-            hits[rank - 1] += 1
-    return np.cumsum(hits) / len(all_results)
+def cmc(scores: IdentityDistances, true_ids) -> np.ndarray:
+    """curve[r-1] = fraction of probes whose true identity ranks within r.
+
+    Ranks count identities, not gallery entries, and identities at equal
+    distance keep their order; the curve has one entry per identity.
+    """
+    own = scores.own(list(true_ids))
+    if own.shape[0] == 0:
+        raise ValueError("need at least one probe")
+    order = np.argsort(scores.values, axis=1, kind="stable")
+    ranks = np.take_along_axis(own, order, axis=1).argmax(axis=1)
+    return np.cumsum(np.bincount(ranks, minlength=own.shape[1])) / own.shape[0]
 
 
 def roc(genuine, impostor, thresholds: int = 1000) -> np.ndarray:
@@ -105,8 +117,8 @@ def roc(genuine, impostor, thresholds: int = 1000) -> np.ndarray:
     the same fraction of impostor distances; both are non-decreasing along
     the sweep.
     """
-    genuine = np.asarray(list(genuine), dtype=np.float64)
-    impostor = np.asarray(list(impostor), dtype=np.float64)
+    genuine = np.asarray(genuine, dtype=np.float64).reshape(-1)
+    impostor = np.asarray(impostor, dtype=np.float64).reshape(-1)
     if genuine.size == 0 or impostor.size == 0:
         raise ValueError("need both genuine and impostor distances")
     if thresholds < 2:

@@ -296,7 +296,7 @@ def load_ply(path) -> PointCloud:
         elif tok[0] == "property":
             if not elements:
                 raise PlyParseError(f"{path}: property before any element (line {i})")
-            if tok[1] == "list":
+            if tok[1:2] == ["list"]:
                 elements[-1][2].append(("list",) + tuple(tok[2:]))
             elif len(tok) == 3 and tok[1] in _PLY_DTYPES:
                 elements[-1][2].append((tok[1], tok[2]))
@@ -328,9 +328,6 @@ def load_ply(path) -> PointCloud:
                 f"{path}: truncated body, expected {skip + n_vertices} data lines, "
                 f"got {len(data_lines)} (line {bad_line})"
             )
-        # Materialize each coordinate at its declared width so that a
-        # "property float" column holds exact float32 values in memory.
-        narrow = [props[c][0] in ("float", "float32") for c in xyz_cols]
         pts = np.empty((n_vertices, 3), dtype=np.float64)
         for r in range(n_vertices):
             tok = data_lines[skip + r].split()
@@ -340,14 +337,16 @@ def load_ply(path) -> PointCloud:
                     f"{len(props)} (line {line_no + skip + r + 1})"
                 )
             try:
-                pts[r] = [
-                    np.float32(float(tok[c])) if nar else float(tok[c])
-                    for c, nar in zip(xyz_cols, narrow)
-                ]
+                pts[r] = [float(tok[c]) for c in xyz_cols]
             except ValueError:
                 raise PlyParseError(
                     f"{path}: non-numeric coordinate (line {line_no + skip + r + 1})"
                 ) from None
+        # Narrow each "property float" column so it holds exact float32 values
+        # in memory; past float32 range it reads as inf, rejected below.
+        narrow = [props[c][0] in ("float", "float32") for c in xyz_cols]
+        with np.errstate(over="ignore"):
+            pts[:, narrow] = pts[:, narrow].astype(np.float32)
     else:
         if vert_pos != 0:
             raise PlyParseError(
@@ -365,6 +364,13 @@ def load_ply(path) -> PointCloud:
             )
         rows = np.frombuffer(raw, dtype=record, count=n_vertices, offset=offset)
         pts = np.column_stack([rows[f"f{c}"] for c in xyz_cols]).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        where = (
+            f"line {line_no + skip + bad[0] + 1}" if fmt == "ascii"
+            else f"byte {offset + bad[0] * record.itemsize}"
+        )
+        raise PlyParseError(f"{path}: non-finite coordinate ({where})")
 
     landmarks = {}
     sidecar = _landmark_sidecar(path)

@@ -245,6 +245,20 @@ class TestEvaluate:
         assert len(cmc_rows) == 1 + 4
         assert (report / "roc.csv").exists()
 
+    def test_cmc_has_one_row_per_gallery_identity(self, rendered, config, tmp_path):
+        gallery = tmp_path / "gallery"
+        gallery.mkdir()
+        for pgm in rendered.glob("*.pgm"):
+            (gallery / pgm.name).write_bytes(pgm.read_bytes())
+        (gallery / "s00_b.pgm").write_bytes((rendered / "s00_a.pgm").read_bytes())
+        report = tmp_path / "report"
+        assert cmd_evaluate(gallery, rendered, config, report) == 0
+        summary = json.loads((report / "summary.json").read_text())
+        assert summary["gallery_size"] == 5
+        cmc_rows = (report / "cmc.csv").read_text().strip().splitlines()
+        assert [row.split(",")[0] for row in cmc_rows] == ["rank", "1", "2", "3", "4"]
+        assert cmc_rows[-1] == "4,1.0"
+
     def test_absent_subject_names_probe(self, rendered, config, tmp_path):
         probe_dir = tmp_path / "probes"
         probe_dir.mkdir()

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facepipe.depthmap import (
     DepthMap,
@@ -281,3 +283,40 @@ class TestPgm:
         depth = rng.uniform(0, 255, (5, 5))
         m = DepthMap(depth, np.ones((5, 5), bool))
         assert pgm_bytes(m) == pgm_bytes(DepthMap(depth.copy(), np.ones((5, 5), bool)))
+
+    @pytest.mark.parametrize("size", [b"-1 -1", b"0 4", b"4 0", b"-2 3"])
+    def test_rejects_non_positive_size(self, tmp_path, size):
+        path = tmp_path / "neg.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n65535\n" + b"\x00" * 32)
+        with pytest.raises(ValueError, match="malformed PGM header") as info:
+            load_pgm(path)
+        assert str(path) in str(info.value)
+
+
+_pgm_tokens = st.one_of(
+    st.integers(-3, 6).map(lambda v: str(v).encode()),
+    st.integers(-(10**30), 10**30).map(lambda v: str(v).encode()),
+    st.sampled_from([b"", b"65535", b"255", b"1.5", b"0x10", b" 3", b"\xff", b"2 2"]),
+    st.binary(max_size=4),
+)
+
+
+class TestPgmFuzz:
+    @given(
+        magic=st.sampled_from([b"P5", b"P2", b"", b"P5 "]),
+        width=_pgm_tokens,
+        height=_pgm_tokens,
+        maxval=st.one_of(st.just(b"65535"), _pgm_tokens),
+        body=st.binary(max_size=80),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_header_errors_name_the_file(self, tmp_path_factory, magic, width, height, maxval, body):
+        path = tmp_path_factory.mktemp("pgm") / "fuzz.pgm"
+        path.write_bytes(magic + b"\n" + width + b" " + height + b"\n" + maxval + b"\n" + body)
+        try:
+            dmap = load_pgm(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+            return
+        assert dmap.width >= 1 and dmap.height >= 1
+        assert 2 * dmap.width * dmap.height <= len(body)

@@ -5,36 +5,48 @@ from hypothesis import strategies as st
 
 from facepipe.matching import (
     Gallery,
+    IdentityDistances,
     MatchAccountingError,
     ZeroNormError,
     cmc,
-    cosine_distance,
     identify,
     roc,
 )
 
 
+def cos_dist(a, b) -> float:
+    """Cosine distance through the gallery kernel, one entry and one probe."""
+    return float(Gallery([("g", a)]).distances(np.asarray(b, dtype=float))[0])
+
+
 class TestCosineDistance:
     def test_equal_vectors(self):
         v = np.array([1.0, 2.0, 3.0])
-        assert cosine_distance(v, v) == pytest.approx(0.0, abs=1e-12)
+        assert cos_dist(v, v) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert cosine_distance([1.0, 0.0], [0.0, 5.0]) == pytest.approx(1.0)
+        assert cos_dist([1.0, 0.0], [0.0, 5.0]) == pytest.approx(1.0)
 
     def test_opposite(self):
-        assert cosine_distance([1.0, 2.0], [-1.0, -2.0]) == pytest.approx(2.0, abs=1e-12)
+        assert cos_dist([1.0, 2.0], [-1.0, -2.0]) == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_norm_raises(self):
         with pytest.raises(ZeroNormError):
-            cosine_distance([0.0, 0.0], [1.0, 0.0])
+            cos_dist([1.0, 0.0], [0.0, 0.0])
+        with pytest.raises(ZeroNormError):
+            cos_dist([0.0, 0.0], [1.0, 0.0])
+        with pytest.raises(ZeroNormError):
+            Gallery([("g", [1.0, 0.0])]).distances(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
-    def test_symmetry_exact(self):
+    def test_symmetry_to_rounding(self):
+        # Gallery norms are pairwise sums and probe norms dot products (the
+        # routines every report was produced with), so swapping the roles of
+        # a and b can move the distance by an ulp or two, never more.
         rng = np.random.default_rng(0)
         for _ in range(50):
             a = rng.normal(size=16)
             b = rng.normal(size=16)
-            assert cosine_distance(a, b) == cosine_distance(b, a)
+            assert cos_dist(a, b) == pytest.approx(cos_dist(b, a), rel=0, abs=1e-15)
 
     @given(st.floats(0.001, 1e6), st.floats(0.001, 1e6), st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
@@ -42,15 +54,29 @@ class TestCosineDistance:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=8)
         b = rng.normal(size=8)
-        base = cosine_distance(a, b)
-        scaled = cosine_distance(lam * a, mu * b)
+        base = cos_dist(a, b)
+        scaled = cos_dist(lam * a, mu * b)
         assert scaled == pytest.approx(base, abs=1e-9)
 
     def test_range(self):
         rng = np.random.default_rng(1)
-        for _ in range(100):
-            d = cosine_distance(rng.normal(size=4), rng.normal(size=4))
-            assert 0.0 <= d <= 2.0
+        gallery = Gallery([(f"s{i}", rng.normal(size=4)) for i in range(10)])
+        d = gallery.distances(rng.normal(size=(100, 4)))
+        assert d.shape == (100, 10)
+        assert ((0.0 <= d) & (d <= 2.0)).all()
+
+    def test_batch_rows_match_single_probes(self):
+        rng = np.random.default_rng(2)
+        gallery = Gallery([(f"s{i}", rng.normal(size=6)) for i in range(7)])
+        probes = rng.normal(size=(5, 6))
+        batch = gallery.distances(probes)
+        for p, row in zip(probes, batch):
+            assert row.tobytes() == gallery.distances(p).tobytes()
+
+    def test_dimension_mismatch_raises(self):
+        gallery = Gallery([("g", [1.0, 0.0, 0.0])])
+        with pytest.raises(ValueError, match="dimension"):
+            gallery.distances(np.ones((2, 4)))
 
 
 class TestIdentify:
@@ -91,50 +117,81 @@ class TestIdentify:
         assert a == b
 
 
-class TestCmc:
-    @staticmethod
-    def _ranked(*ids):
-        return [(sid, float(i)) for i, sid in enumerate(ids)]
+def scores_from_rankings(subjects, *rankings):
+    """Identity distances under which each ranking (best first) is the order."""
+    values = [[float(ranked.index(sid)) for sid in subjects] for ranked in rankings]
+    return IdentityDistances(tuple(subjects), np.array(values))
 
+
+class TestIdentityDistances:
+    def test_minimum_per_identity_in_first_appearance_order(self):
+        gallery = Gallery([("b", [1.0, 0.0]), ("a", [0.0, 1.0]), ("b", [1.0, 1.0])])
+        probes = np.array([[0.0, 1.0], [1.0, 0.0]])
+        scores = gallery.identity_distances(probes)
+        assert scores.subjects == ("b", "a")
+        full = gallery.distances(probes)
+        np.testing.assert_array_equal(
+            scores.values, np.column_stack([np.minimum(full[:, 0], full[:, 2]), full[:, 1]])
+        )
+
+    def test_single_probe_vector(self):
+        gallery = Gallery([("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
+        assert gallery.identity_distances(np.array([1.0, 0.0])).values.shape == (1, 2)
+
+
+class TestCmc:
     def test_all_rank_one(self):
-        results = [("a", self._ranked("a", "b")), ("b", self._ranked("b", "a"))]
-        np.testing.assert_allclose(cmc(results, 2), [1.0, 1.0])
+        scores = scores_from_rankings(["a", "b"], ["a", "b"], ["b", "a"])
+        np.testing.assert_allclose(cmc(scores, ["a", "b"]), [1.0, 1.0])
 
     def test_two_probe_arithmetic(self):
-        results = [("a", self._ranked("a", "b")), ("b", self._ranked("a", "b"))]
-        np.testing.assert_allclose(cmc(results, 2), [0.5, 1.0])
+        scores = scores_from_rankings(["a", "b"], ["a", "b"], ["a", "b"])
+        np.testing.assert_allclose(cmc(scores, ["a", "b"]), [0.5, 1.0])
 
     def test_matches_recount_oracle(self):
         rng = np.random.default_rng(5)
-        subjects = [f"s{i}" for i in range(6)]
-        results = []
-        for _ in range(40):
-            true = subjects[rng.integers(6)]
-            order = list(rng.permutation(subjects))
-            results.append((true, [(s, 0.0) for s in order]))
-        curve = cmc(results, 6)
+        subjects = tuple(f"s{i}" for i in range(6))
+        # small integer distances, so ties between identities are common
+        values = rng.integers(0, 4, size=(40, 6)).astype(float)
+        true_ids = [subjects[i] for i in rng.integers(6, size=40)]
+        curve = cmc(IdentityDistances(subjects, values), true_ids)
+        assert curve.shape == (6,)
         for r in range(1, 7):
             manual = sum(
-                1 for true, ranked in results
-                if true in [s for s, _ in ranked[:r]]
-            ) / len(results)
+                1 for row, true in zip(values, true_ids)
+                if true in [subjects[i] for i in np.argsort(row, kind="stable")[:r]]
+            ) / len(true_ids)
             assert curve[r - 1] == pytest.approx(manual)
 
     def test_monotone_terminates_at_one(self):
         rng = np.random.default_rng(6)
-        subjects = [f"s{i}" for i in range(5)]
-        results = []
-        for _ in range(20):
-            true = subjects[rng.integers(5)]
-            order = list(rng.permutation(subjects))
-            results.append((true, [(s, 0.0) for s in order]))
-        curve = cmc(results, 5)
+        subjects = tuple(f"s{i}" for i in range(5))
+        values = rng.uniform(0, 2, size=(20, 5))
+        true_ids = [subjects[i] for i in rng.integers(5, size=20)]
+        curve = cmc(IdentityDistances(subjects, values), true_ids)
         assert (np.diff(curve) >= 0).all()
         assert curve[-1] == 1.0
 
     def test_absent_id_raises(self):
         with pytest.raises(MatchAccountingError, match="ghost"):
-            cmc([("ghost", self._ranked("a", "b"))], 2)
+            cmc(scores_from_rankings(["a", "b"], ["a", "b"]), ["ghost"])
+
+    def test_ranks_count_identities_not_entries(self):
+        # gallery entries A, A, B; the B probe is nearer both A entries
+        gallery = Gallery(
+            [("A", [1.0, 0.0]), ("A", [0.9, 0.1]), ("B", [0.0, 1.0])]
+        )
+        probe = np.array([1.0, 0.3])
+        assert [sid for sid, _ in identify(probe, gallery)] == ["A", "A", "B"]
+        curve = cmc(gallery.identity_distances(probe), ["B"])
+        np.testing.assert_array_equal(curve, [0.0, 1.0])
+
+    def test_identity_tie_keeps_gallery_order(self):
+        v = np.array([1.0, 1.0])
+        gallery = Gallery([("first", v), ("second", v.copy())])
+        scores = gallery.identity_distances(v)
+        np.testing.assert_array_equal(cmc(scores, ["first"]), [1.0, 1.0])
+        np.testing.assert_array_equal(cmc(scores, ["second"]), [0.0, 1.0])
 
 
 class TestRoc:

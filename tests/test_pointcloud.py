@@ -309,7 +309,135 @@ class TestPlyIO:
         )
         np.testing.assert_array_equal(load_ply(f).points[0], [1.0, 2.0, 3.0])
 
+    def test_bare_property_line(self, tmp_path):
+        f = tmp_path / "bare.ply"
+        f.write_text("ply\nformat ascii 1.0\nelement vertex 1\nproperty\nend_header\n")
+        with pytest.raises(PlyParseError, match="line 4"):
+            load_ply(f)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e39"])
+    def test_non_finite_ascii_coordinate(self, tmp_path, value):
+        f = tmp_path / "nan.ply"
+        f.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            f"end_header\n0 0 0\n1 {value} 2\n"
+        )
+        with pytest.raises(PlyParseError, match="non-finite.*line 9"):
+            load_ply(f)
+
+    def test_non_finite_binary_coordinate(self, tmp_path):
+        header = (
+            "ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n"
+        ).encode()
+        f = tmp_path / "nan.ply"
+        f.write_bytes(header + struct.pack("<6f", 0, 0, 0, 1, float("nan"), 2))
+        with pytest.raises(PlyParseError, match=f"non-finite.*byte {len(header) + 12}"):
+            load_ply(f)
+
     def test_write_to_unwritable_path(self, tmp_path):
         cloud = PointCloud(np.zeros((1, 3)))
         with pytest.raises(OSError):
             save_ply(cloud, tmp_path / "missing_dir" / "x.ply")
+
+
+_ASCII_PLY = (
+    b"ply\nformat ascii 1.0\ncomment hand made\nelement vertex 3\n"
+    b"property float x\nproperty float y\nproperty double z\nproperty uchar q\n"
+    b"element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+    b"0 1.5 -2 7\n3 4 5 1\n-6.25 7 8e3 0\n3 0 1 2\n"
+)
+_BINARY_PLY = (
+    b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+    b"property short s\nproperty float x\nproperty float y\nproperty float z\n"
+    b"end_header\n" + struct.pack("<hfff", -3, 1.5, -2.0, 3.0) * 2
+)
+_PLY_HEADER = [
+    "format ascii 1.0", "element vertex 2",
+    "property float x", "property float y", "property float z",
+]
+# header and body words, so that garbled files stay close to valid ones
+_PLY_WORDS = [
+    "ascii", "binary_little_endian", "binary_big_endian", "1.0", "vertex", "face",
+    "list", "float", "double", "uchar", "int", "x", "y", "z", "end_header",
+    "0", "1", "2", "-1", "99999999999999999999", "1.5", "nan", "inf", "1e39", "\t", "\xff",
+]
+_ply_lines = st.builds(
+    lambda head, words: " ".join([head, *words]),
+    st.sampled_from(["format", "element", "property", "comment", "ply", ""]),
+    st.lists(st.sampled_from(_PLY_WORDS), max_size=4),
+)
+_body_lines = st.lists(st.sampled_from(_PLY_WORDS[15:]), max_size=5).map(" ".join)
+
+
+def _load_only_parse_errors(tmp_dir, data: bytes):
+    """load_ply either returns a finite cloud or raises PlyParseError."""
+    f = tmp_dir / "fuzz.ply"
+    f.write_bytes(data)
+    try:
+        cloud = load_ply(f)
+    except PlyParseError as exc:
+        assert str(f) in str(exc)
+        return
+    assert len(cloud) >= 1 and np.isfinite(cloud.points).all()
+
+
+class TestPlyFuzz:
+    @given(
+        base=st.sampled_from([_ASCII_PLY, _BINARY_PLY]),
+        cut=st.integers(0, len(_ASCII_PLY)),
+        edits=st.lists(st.tuples(st.integers(0, 300), st.binary(max_size=4)), max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_files(self, tmp_path_factory, base, cut, edits):
+        data = bytearray(base[:cut] if cut < len(base) else base)
+        for pos, chunk in edits:
+            pos = min(pos, len(data))
+            data[pos:pos + len(chunk)] = chunk
+        _load_only_parse_errors(tmp_path_factory.mktemp("ply"), bytes(data))
+
+    @given(
+        edits=st.lists(
+            st.tuples(st.integers(0, len(_PLY_HEADER)), st.booleans(), _ply_lines),
+            max_size=4,
+        ),
+        body=st.lists(_body_lines, max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_garbled_headers(self, tmp_path_factory, edits, body):
+        header = list(_PLY_HEADER)
+        for pos, replace, line in edits:
+            header[pos:pos + replace] = [line]
+        text = "\n".join(["ply", *header, "end_header", *body]) + "\n"
+        data = text.encode("utf-8", errors="surrogateescape")
+        _load_only_parse_errors(tmp_path_factory.mktemp("ply"), data)
+
+
+finite_f64 = st.floats(-1e38, 1e38, allow_nan=False)
+
+
+class TestPlyRoundTrip:
+    @given(
+        points=st.lists(
+            st.tuples(*[st.one_of(finite_f64, st.floats(width=32, allow_nan=False,
+                                                      allow_infinity=False))] * 3),
+            min_size=1, max_size=20,
+        ),
+        landmarks=st.dictionaries(
+            st.text(min_size=1, max_size=8),
+            st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_save_load_is_float32_exact(self, tmp_path_factory, points, landmarks):
+        cloud = PointCloud(np.array(points, dtype=np.float64), landmarks)
+        f = tmp_path_factory.mktemp("rt") / "c.ply"
+        save_ply(cloud, f)
+        back = load_ply(f)
+        expected = cloud.points.astype(np.float32).astype(np.float64)
+        assert back.points.tobytes() == expected.tobytes()
+        assert sorted(back.landmarks) == sorted(cloud.landmarks)
+        for name, p in cloud.landmarks.items():
+            assert back.landmarks[name].tobytes() == p.tobytes()

@@ -85,11 +85,12 @@ class PcaModel:
         return self.components.shape[0]
 
 
-def _pca_eig(features: np.ndarray):
-    """Mean, eigenvalues (desc), and eigenvectors up to numerical rank.
+def _pca(features: np.ndarray, pick_k) -> PcaModel:
+    """Top-k principal axes, k = pick_k(eigenvalues up to numerical rank, desc).
 
     Uses the Gram-matrix route when there are fewer samples than
-    dimensions, which keeps flattened-image PCA tractable.
+    dimensions, which keeps flattened-image PCA tractable. Only the k kept
+    components are mapped back to feature space and sign-fixed.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -106,22 +107,25 @@ def _pca_eig(features: np.ndarray):
     rank = int(np.sum(evals > tol))
     if rank == 0:
         raise ValueError("degenerate input: all feature vectors identical")
-    evals = evals[:rank]
+    evals = np.maximum(evals[:rank], 0.0)
+    k = pick_k(evals)
+    if k > rank:
+        raise ValueError(f"k={k} exceeds the numerical rank {rank} of the sample")
     if gram:
         # Map each Gram eigenvector back to feature space: xc.T @ v.
-        comps = np.empty((rank, d))
-        for i in range(rank):
+        comps = np.empty((k, d))
+        for i in range(k):
             vec = xc.T @ evecs[:, i]
             comps[i] = vec / np.linalg.norm(vec)
     else:
-        comps = evecs[:, :rank].T.copy()
+        comps = evecs[:, :k].T.copy()
 
     # Deterministic sign: largest-magnitude entry of each component positive.
     for row in comps:
         j = int(np.argmax(np.abs(row)))
         if row[j] < 0:
             row *= -1
-    return mean, np.maximum(evals, 0.0), comps
+    return PcaModel(mean, comps, evals[:k])
 
 
 def pca_fit(features, k: int) -> PcaModel:
@@ -130,12 +134,7 @@ def pca_fit(features, k: int) -> PcaModel:
     n, d = x.shape
     if k < 1 or k > min(d, n - 1):
         raise ValueError(f"k={k} out of range for {n} samples of dimension {d}")
-    mean, evals, comps = _pca_eig(x)
-    if k > comps.shape[0]:
-        raise ValueError(
-            f"k={k} exceeds the numerical rank {comps.shape[0]} of the sample"
-        )
-    return PcaModel(mean, comps[:k], evals[:k])
+    return _pca(x, lambda evals: k)
 
 
 def pca_fit_variance(features, variance_target: float, cap: int) -> PcaModel:
@@ -146,11 +145,12 @@ def pca_fit_variance(features, variance_target: float, cap: int) -> PcaModel:
     """
     if not 0 < variance_target <= 1:
         raise ValueError("variance_target must be in (0, 1]")
-    mean, evals, comps = _pca_eig(np.asarray(features, dtype=np.float64))
-    cum = np.cumsum(evals) / evals.sum()
-    k = int(np.searchsorted(cum, variance_target) + 1)
-    k = max(1, min(k, cap, comps.shape[0]))
-    return PcaModel(mean, comps[:k], evals[:k])
+
+    def pick_k(evals):
+        cum = np.cumsum(evals) / evals.sum()
+        return max(1, min(int(np.searchsorted(cum, variance_target)) + 1, cap, len(evals)))
+
+    return _pca(features, pick_k)
 
 
 def pca_transform(model: PcaModel, values: np.ndarray) -> np.ndarray:

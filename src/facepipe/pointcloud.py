@@ -237,8 +237,9 @@ def crop_sphere(cloud: PointCloud, center, radius: float) -> PointCloud:
 
 
 # ---------------------------------------------------------------------------
-# PLY I/O. ASCII and binary_little_endian, vertex x/y/z properties required;
-# unknown vertex properties are ignored. Landmarks travel in a JSON sidecar
+# PLY I/O. Reads ASCII and binary_little_endian, writes binary_little_endian
+# float32; vertex x/y/z properties required, unknown vertex properties
+# ignored. Landmarks travel in a JSON sidecar
 # ("<stem>.landmarks.json") so the PLY itself stays standard.
 # ---------------------------------------------------------------------------
 
@@ -328,20 +329,25 @@ def load_ply(path) -> PointCloud:
                 f"{path}: truncated body, expected {skip + n_vertices} data lines, "
                 f"got {len(data_lines)} (line {bad_line})"
             )
-        pts = np.empty((n_vertices, 3), dtype=np.float64)
-        for r in range(n_vertices):
-            tok = data_lines[skip + r].split()
-            if len(tok) < len(props):
-                raise PlyParseError(
-                    f"{path}: vertex row has {len(tok)} values, expected "
-                    f"{len(props)} (line {line_no + skip + r + 1})"
-                )
-            try:
-                pts[r] = [float(tok[c]) for c in xyz_cols]
-            except ValueError:
-                raise PlyParseError(
-                    f"{path}: non-numeric coordinate (line {line_no + skip + r + 1})"
-                ) from None
+        rows = [l.split() for l in data_lines[skip:skip + n_vertices]]
+        try:
+            values = [float(tok[c]) for tok in rows for c in xyz_cols]
+        except (ValueError, IndexError):
+            values = None
+        if values is None or min(map(len, rows)) < len(props):
+            # Only after a failed pass: find the first bad row, in file order.
+            for r, tok in enumerate(rows):
+                where = f"(line {line_no + skip + r + 1})"
+                if len(tok) < len(props):
+                    raise PlyParseError(
+                        f"{path}: vertex row has {len(tok)} values, expected "
+                        f"{len(props)} {where}"
+                    )
+                try:
+                    [float(tok[c]) for c in xyz_cols]
+                except ValueError:
+                    raise PlyParseError(f"{path}: non-numeric coordinate {where}") from None
+        pts = np.array(values, dtype=np.float64).reshape(n_vertices, 3)
         # Narrow each "property float" column so it holds exact float32 values
         # in memory; past float32 range it reads as inf, rejected below.
         narrow = [props[c][0] in ("float", "float32") for c in xyz_cols]
@@ -380,26 +386,18 @@ def load_ply(path) -> PointCloud:
     return PointCloud(pts, landmarks)
 
 
-def _format_f32(value: float) -> str:
-    # Shortest decimal that round-trips the float32 value exactly.
-    return np.format_float_positional(np.float32(value), unique=True, trim="0")
-
-
 def save_ply(cloud: PointCloud, path) -> None:
-    """Write an ASCII PLY (float32 x,y,z) plus a landmark sidecar when present."""
+    """Write a binary little-endian PLY (float32 x,y,z) and its landmark sidecar."""
     path = Path(path)
-    out = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {len(cloud)}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "end_header",
-    ]
-    for p in cloud.points:
-        out.append(f"{_format_f32(p[0])} {_format_f32(p[1])} {_format_f32(p[2])}")
-    path.write_text("\n".join(out) + "\n")
+    header = (
+        "ply\nformat binary_little_endian 1.0\n"
+        f"element vertex {len(cloud)}\n"
+        "property float x\nproperty float y\nproperty float z\nend_header\n"
+    )
+    path.write_bytes(header.encode("ascii") + cloud.points.astype("<f4").tobytes())
+    sidecar = _landmark_sidecar(path)
     if cloud.landmarks:
         payload = {k: [float(x) for x in v] for k, v in sorted(cloud.landmarks.items())}
-        _landmark_sidecar(path).write_text(json.dumps(payload, sort_keys=True, indent=1))
+        sidecar.write_text(json.dumps(payload, sort_keys=True, indent=1))
+    else:  # a stale sidecar would hand its landmarks to this cloud
+        sidecar.unlink(missing_ok=True)

@@ -96,6 +96,22 @@ class TestPcaFit:
         full = pca_fit(x, 5 if 5 == min(6, 14) else min(6, 14))
         assert full.explained_variance.sum() <= total + 1e-9
 
+    @pytest.mark.parametrize("shape", [(12, 40), (40, 6)], ids=["gram", "covariance"])
+    def test_top_k_rows_bitwise_equal_to_full_fit(self, shape):
+        x = np.random.default_rng(8).normal(size=shape)
+        full = pca_fit(x, min(shape[0] - 1, shape[1]))
+        for k in (1, 3, full.k):
+            top = pca_fit(x, k)
+            assert top.components.tobytes() == full.components[:k].tobytes()
+            assert top.explained_variance.tobytes() == full.explained_variance[:k].tobytes()
+            capped = pca_fit_variance(x, 1.0, cap=k)
+            assert capped.components.tobytes() == top.components.tobytes()
+
+    def test_k_above_numerical_rank(self):
+        x = np.repeat(np.random.default_rng(9).normal(size=(4, 10)), 3, axis=0)
+        with pytest.raises(ValueError, match="numerical rank 3"):
+            pca_fit(x, 5)
+
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             pca_fit(np.random.default_rng(5).normal(size=(4, 10)), 4)

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -233,7 +234,24 @@ class TestPlyIO:
         cloud = PointCloud(np.zeros((2, 3)))
         f = tmp_path / "two.ply"
         save_ply(cloud, f)
-        assert "element vertex 2" in f.read_text()
+        assert b"\nelement vertex 2\n" in f.read_bytes()
+
+    def test_writes_binary_float32(self, tmp_path):
+        pts = np.array([[1.5, -2.25, 3.0], [0.1, 8.0, -1.0 / 3.0], [7.0, 0.0, -0.0]])
+        f = tmp_path / "bin.ply"
+        save_ply(PointCloud(pts), f)
+        header, sep, body = f.read_bytes().partition(b"end_header\n")
+        assert sep and header.split(b"\n")[1] == b"format binary_little_endian 1.0"
+        assert len(body) == 12 * len(pts)
+        assert body == pts.astype("<f4").tobytes()
+
+    def test_resave_without_landmarks_drops_stale_sidecar(self, tmp_path):
+        f = tmp_path / "s.ply"
+        save_ply(PointCloud(np.zeros((1, 3)), {"nose_tip": [9.0, 9.0, 9.0]}), f)
+        assert load_ply(f).landmarks
+        save_ply(PointCloud(np.ones((1, 3))), f)
+        assert load_ply(f).landmarks == {}
+        assert not (tmp_path / "s.landmarks.json").exists()
 
     def test_truncated_ascii_body(self, tmp_path):
         f = tmp_path / "bad.ply"
@@ -308,6 +326,27 @@ class TestPlyIO:
             "property float confidence\nend_header\n1 2 3 0.5\n"
         )
         np.testing.assert_array_equal(load_ply(f).points[0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0 0 0 1\n1 2 3\n", "vertex row has 3 values, expected 4 (line 13)"),
+            ("0 0 0 1\n1 x 2 1\n", "non-numeric coordinate (line 13)"),
+            ("0 x 0 1\n1 2 3\n", "non-numeric coordinate (line 12)"),
+        ],
+        ids=["short-row", "non-numeric", "first-bad-row-wins"],
+    )
+    def test_bad_ascii_vertex_row(self, tmp_path, rows, message):
+        # the face element comes first, so vertex rows start one line later
+        f = tmp_path / "row.ply"
+        f.write_text(
+            "ply\nformat ascii 1.0\nelement face 1\n"
+            "property list uchar int vertex_indices\nelement vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            f"property uchar quality\nend_header\n3 0 1 2\n{rows}"
+        )
+        with pytest.raises(PlyParseError, match=re.escape(message)):
+            load_ply(f)
 
     def test_bare_property_line(self, tmp_path):
         f = tmp_path / "bare.ply"
@@ -441,3 +480,30 @@ class TestPlyRoundTrip:
         assert sorted(back.landmarks) == sorted(cloud.landmarks)
         for name, p in cloud.landmarks.items():
             assert back.landmarks[name].tobytes() == p.tobytes()
+
+    @given(
+        points=st.lists(
+            st.tuples(*[st.floats(width=32, allow_nan=False, allow_infinity=False)] * 3),
+            min_size=1, max_size=20,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_ascii_decimals_load_as_binary(self, tmp_path_factory, points):
+        """Shortest float32 decimals and float64 reprs of float32 values both
+        load bit-identical to the binary file of the same values."""
+        pts = np.array(points, dtype=np.float32).astype(np.float64)
+        d = tmp_path_factory.mktemp("dec")
+        save_ply(PointCloud(pts), d / "bin.ply")
+        expected = load_ply(d / "bin.ply").points.tobytes()
+        header = (
+            f"ply\nformat ascii 1.0\nelement vertex {len(pts)}\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n"
+        )
+
+        def shortest(v):
+            return np.format_float_positional(np.float32(v), unique=True, trim="0")
+
+        for name, fmt in (("f32.ply", shortest), ("f64.ply", repr)):
+            body = "".join(" ".join(fmt(v) for v in p) + "\n" for p in pts.tolist())
+            (d / name).write_text(header + body)
+            assert load_ply(d / name).points.tobytes() == expected, name

@@ -337,7 +337,7 @@ def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> 
     backend = _make_backend(config, gallery_dir)
     # one sqrt-normalized feature row per map; the maps themselves are not kept
     gallery_feats, probe_feats = (
-        np.stack([sqrt_normalize(backend.embed(load_pgm(f))) for f in files])
+        np.stack([sqrt_normalize(backend.embed_file(f)) for f in files])
         for files in (gallery_files, probe_files)
     )
     fit = gallery_feats if mode == "gallery" else np.vstack([gallery_feats, probe_feats])

@@ -21,6 +21,7 @@ __all__ = [
     "resize",
     "export_pgm",
     "pgm_bytes",
+    "read_pgm",
     "load_pgm",
 ]
 
@@ -232,11 +233,12 @@ def export_pgm(dmap: DepthMap, path) -> None:
     Path(path).write_bytes(pgm_bytes(dmap))
 
 
-def load_pgm(path) -> DepthMap:
-    """Read a 16-bit binary PGM back into a 0..255-scaled map.
+def read_pgm(path) -> tuple[np.ndarray, bytes]:
+    """Parse a 16-bit binary PGM into its (height, width) values and canonical bytes.
 
-    Zero-valued pixels are treated as invalid, matching the export of
-    normalized maps where invalid pixels carry 0.
+    The canonical bytes are the header rebuilt as `P5\\n{w} {h}\\n65535\\n`
+    followed by the first 2*w*h body bytes, which is exactly what
+    `pgm_bytes` writes; the values are a big-endian uint16 view of them.
     """
     raw = Path(path).read_bytes()
     parts = raw.split(b"\n", 3)
@@ -251,9 +253,20 @@ def load_pgm(path) -> DepthMap:
         raise ValueError(f"{path}: malformed PGM header")
     if maxval != 65535:
         raise ValueError(f"{path}: expected 16-bit PGM, maxval {maxval}")
-    if len(parts[3]) < 2 * width * height:
+    count = width * height
+    if len(parts[3]) < 2 * count:
         raise ValueError(f"{path}: truncated PGM body")
-    values = np.frombuffer(parts[3], dtype=">u2", count=width * height)
-    grid = values.reshape(height, width).astype(np.float64) / 257.0
-    valid = grid > 0
-    return DepthMap(np.where(valid, grid, 0.0), valid)
+    header = f"P5\n{width} {height}\n65535\n".encode("ascii")
+    data = header + parts[3][: 2 * count]
+    values = np.frombuffer(data, dtype=">u2", count=count, offset=len(header))
+    return values.reshape(height, width), data
+
+
+def load_pgm(path) -> DepthMap:
+    """Read a 16-bit binary PGM back into a 0..255-scaled map.
+
+    Zero-valued pixels are treated as invalid, matching the export of
+    normalized maps where invalid pixels carry 0.
+    """
+    values, _ = read_pgm(path)
+    return DepthMap(values / 257.0, values != 0)

@@ -4,7 +4,9 @@ A backend maps a normalized 224x224 depth map to a fixed-dimension vector.
 The built-in baseline projects flattened maps onto an eigen-depth-map basis;
 the external backend reads precomputed vectors keyed by the SHA-256 of the
 exported PGM bytes, which is the interchange point for any offline feature
-extractor. Post-processing follows the matching chain: signed square root,
+extractor. Both backends also embed a PGM file directly (`embed_file`); the
+external one hashes the file's canonical bytes without decoding the map.
+Post-processing follows the matching chain: signed square root,
 then PCA.
 """
 
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from facepipe.depthmap import DepthMap, pgm_bytes
+from facepipe.depthmap import DepthMap, load_pgm, pgm_bytes, read_pgm
 
 __all__ = [
     "PcaModel",
@@ -40,6 +42,9 @@ _FVEC_MAGIC = b"FVEC1"
 
 class FeatureLookupError(KeyError):
     """No stored feature for the requested map hash."""
+
+    def __str__(self):  # KeyError's own __str__ would quote the message
+        return Exception.__str__(self)
 
 
 class FeatureFormatError(ValueError):
@@ -183,6 +188,9 @@ class BaselineBackend:
             )
         return pca_transform(self._model, dmap.depth.reshape(-1))
 
+    def embed_file(self, path) -> np.ndarray:
+        return self.embed(load_pgm(path))
+
 
 def baseline_train(maps, d: int, map_size: int = 224) -> BaselineBackend:
     """Fit the eigen-depth-map basis on flattened training maps."""
@@ -243,10 +251,21 @@ class ExternalBackend:
         return self._dimension
 
     def embed(self, dmap: DepthMap) -> np.ndarray:
-        digest = feature_hash(dmap)
+        return self._lookup(feature_hash(dmap), "")
+
+    def embed_file(self, path) -> np.ndarray:
+        """Features of a PGM file, keyed on its canonical bytes; no map is decoded.
+
+        The key equals `feature_hash(load_pgm(path))`, and a file
+        `load_pgm` rejects raises the same `ValueError`.
+        """
+        _, data = read_pgm(path)
+        return self._lookup(hashlib.sha256(data).hexdigest(), f"{path}: ")
+
+    def _lookup(self, digest: str, where: str) -> np.ndarray:
         path = self._dir / f"{digest}.fvec"
         if not path.exists():
-            raise FeatureLookupError(f"no feature file for map hash {digest}")
+            raise FeatureLookupError(f"{where}no feature file for map hash {digest}")
         values = read_feature_file(path)
         if self._dimension is None:
             self._dimension = values.shape[0]

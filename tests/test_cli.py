@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -276,42 +277,68 @@ class TestEvaluate:
         for name in ("summary.json", "cmc.csv", "roc.csv"):
             assert (r1 / name).read_bytes() == (r2 / name).read_bytes()
 
-    def test_external_backend_feature_directory(self, rendered, tmp_path):
+    @staticmethod
+    def _external(rendered, tmp_path, skip=()):
+        """Config of the external backend over one random feature file per map."""
         from facepipe.depthmap import load_pgm
         from facepipe.embedding import feature_hash, write_feature_file
 
         feature_dir = tmp_path / "features"
         feature_dir.mkdir()
         rng = np.random.default_rng(0)
-        for pgm in rendered.glob("*.pgm"):
-            digest = feature_hash(load_pgm(pgm))
-            write_feature_file(rng.normal(size=64), feature_dir / f"{digest}.fvec")
-
+        for pgm in sorted(rendered.glob("*.pgm")):
+            values = rng.normal(size=64)
+            if pgm.stem not in skip:
+                digest = feature_hash(load_pgm(pgm))
+                write_feature_file(values, feature_dir / f"{digest}.fvec")
         cfg_path = tmp_path / "ext.json"
         cfg_path.write_text(json.dumps({
             "toy_model": TOY,
             "embedding": {"backend": "external", "feature_dir": str(feature_dir)},
         }))
-        ext_config = load_config(cfg_path)
+        return load_config(cfg_path)
+
+    def test_external_backend_feature_directory(self, rendered, tmp_path):
+        ext_config = self._external(rendered, tmp_path)
         report = tmp_path / "ext_report"
         assert cmd_evaluate(rendered, rendered, ext_config, report) == 0
         summary = json.loads((report / "summary.json").read_text())
         assert summary["backend"] == "external"
         assert summary["rank1_accuracy"] == 1.0
 
+    def test_external_backend_decodes_no_map(self, rendered, tmp_path, monkeypatch):
+        import facepipe.depthmap
+
+        ext_config = self._external(rendered, tmp_path)
+        expected = tmp_path / "expected"
+        assert cmd_evaluate(rendered, rendered, ext_config, expected) == 0
+
+        def refuse(path):
+            raise AssertionError(f"load_pgm({path}) on the external path")
+
+        original = facepipe.depthmap.load_pgm
+        bindings = [
+            (mod, key)
+            for name, mod in list(sys.modules.items())
+            if name == "facepipe" or name.startswith("facepipe.")
+            for key, value in list(vars(mod).items())
+            if value is original
+        ]
+        assert (facepipe.depthmap, "load_pgm") in bindings
+        for mod, key in bindings:
+            monkeypatch.setattr(mod, key, refuse)
+        report = tmp_path / "ext_report"
+        assert cmd_evaluate(rendered, rendered, ext_config, report) == 0
+        for name in ("summary.json", "cmc.csv", "roc.csv"):
+            assert (report / name).read_bytes() == (expected / name).read_bytes()
+
     def test_external_backend_missing_feature(self, rendered, tmp_path):
-        feature_dir = tmp_path / "features"
-        feature_dir.mkdir()
-        cfg_path = tmp_path / "ext.json"
-        cfg_path.write_text(json.dumps({
-            "toy_model": TOY,
-            "embedding": {"backend": "external", "feature_dir": str(feature_dir)},
-        }))
-        ext_config = load_config(cfg_path)
         from facepipe.embedding import FeatureLookupError
 
-        with pytest.raises(FeatureLookupError):
+        ext_config = self._external(rendered, tmp_path, skip={"s02_a"})
+        with pytest.raises(FeatureLookupError, match=r"s02_a\.pgm: no feature file") as info:
             cmd_evaluate(rendered, rendered, ext_config, tmp_path / "r")
+        assert str(info.value).startswith(str(rendered / "s02_a.pgm"))
 
 
 class TestMain:

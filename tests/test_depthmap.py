@@ -15,9 +15,11 @@ from facepipe.depthmap import (
     median_filter,
     normalize,
     pgm_bytes,
+    read_pgm,
     render_depth,
     resize,
 )
+from facepipe.embedding import ExternalBackend, feature_hash, write_feature_file
 from facepipe.pointcloud import PointCloud
 
 
@@ -284,6 +286,20 @@ class TestPgm:
         m = DepthMap(depth, np.ones((5, 5), bool))
         assert pgm_bytes(m) == pgm_bytes(DepthMap(depth.copy(), np.ones((5, 5), bool)))
 
+    def test_every_16_bit_value(self, tmp_path):
+        values = np.arange(65536, dtype=">u2").reshape(256, 256)
+        data = b"P5\n256 256\n65535\n" + values.tobytes()
+        path = tmp_path / "all.pgm"
+        path.write_bytes(data)
+        dmap = load_pgm(path)
+        # reference: the decode load_pgm used before it read through read_pgm
+        grid = values.astype(np.float64) / 257.0
+        np.testing.assert_array_equal(dmap.valid, grid > 0)
+        assert dmap.depth.tobytes() == np.where(grid > 0, grid, 0.0).tobytes()
+        assert pgm_bytes(dmap) == data
+        assert read_pgm(path)[1] == data
+        assert check_file_entry(path, tmp_path) is not None
+
     @pytest.mark.parametrize("size", [b"-1 -1", b"0 4", b"4 0", b"-2 3"])
     def test_rejects_non_positive_size(self, tmp_path, size):
         path = tmp_path / "neg.pgm"
@@ -293,11 +309,35 @@ class TestPgm:
         assert str(path) in str(info.value)
 
 
+def check_file_entry(path, feature_dir):
+    """The external backend's file entry keys `path` as
+    feature_hash(load_pgm(path)), or rejects it with load_pgm's message.
+
+    Returns the loaded map, or None when load_pgm rejects the file.
+    """
+    backend = ExternalBackend(feature_dir)
+    try:
+        dmap = load_pgm(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            backend.embed_file(path)
+        assert str(info.value) == str(exc)
+        return None
+    stored = np.arange(3.0)
+    write_feature_file(stored, feature_dir / f"{feature_hash(dmap)}.fvec")
+    np.testing.assert_array_equal(backend.embed_file(path), stored)
+    return dmap
+
+
 _pgm_tokens = st.one_of(
     st.integers(-3, 6).map(lambda v: str(v).encode()),
     st.integers(-(10**30), 10**30).map(lambda v: str(v).encode()),
     st.sampled_from([b"", b"65535", b"255", b"1.5", b"0x10", b" 3", b"\xff", b"2 2"]),
     st.binary(max_size=4),
+)
+_pgm_spaces = st.sampled_from([b"", b" ", b"  ", b"\t", b" \t", b"\x0b", b"\r"])
+_pgm_maxvals = st.sampled_from(
+    [b"65535", b"065535", b"0065535", b"+65535", b"65_535", b"\t65535 ", b"65535 0"]
 )
 
 
@@ -306,17 +346,50 @@ class TestPgmFuzz:
         magic=st.sampled_from([b"P5", b"P2", b"", b"P5 "]),
         width=_pgm_tokens,
         height=_pgm_tokens,
-        maxval=st.one_of(st.just(b"65535"), _pgm_tokens),
+        sep=st.one_of(st.just(b" "), _pgm_spaces),
+        maxval=st.one_of(st.just(b"65535"), _pgm_maxvals, _pgm_tokens),
         body=st.binary(max_size=80),
     )
     @settings(max_examples=400, deadline=None)
-    def test_header_errors_name_the_file(self, tmp_path_factory, magic, width, height, maxval, body):
-        path = tmp_path_factory.mktemp("pgm") / "fuzz.pgm"
-        path.write_bytes(magic + b"\n" + width + b" " + height + b"\n" + maxval + b"\n" + body)
+    def test_header_errors_name_the_file(
+        self, tmp_path_factory, magic, width, height, sep, maxval, body
+    ):
+        folder = tmp_path_factory.mktemp("pgm")
+        path = folder / "fuzz.pgm"
+        path.write_bytes(magic + b"\n" + width + sep + height + b"\n" + maxval + b"\n" + body)
         try:
-            dmap = load_pgm(path)
+            load_pgm(path)
         except ValueError as exc:
             assert str(path) in str(exc)
-            return
-        assert dmap.width >= 1 and dmap.height >= 1
-        assert 2 * dmap.width * dmap.height <= len(body)
+        dmap = check_file_entry(path, folder)
+        if dmap is not None:
+            assert dmap.width >= 1 and dmap.height >= 1
+            assert 2 * dmap.width * dmap.height <= len(body)
+
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        lead=_pgm_spaces,
+        sep=_pgm_spaces.filter(bool),
+        trail=_pgm_spaces,
+        maxval=_pgm_maxvals.filter(lambda m: m != b"65535 0"),
+        extra=st.binary(max_size=9),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_file_keys_as_its_map(
+        self, tmp_path_factory, shape, lead, sep, trail, maxval, extra, data
+    ):
+        height, width = shape
+        values = np.array(
+            data.draw(st.lists(st.integers(0, 65535), min_size=width * height,
+                               max_size=width * height)),
+            dtype=">u2",
+        )
+        header = b"%s%d%s%d%s" % (lead, width, sep, height, trail)
+        folder = tmp_path_factory.mktemp("pgm")
+        path = folder / "spaced.pgm"
+        path.write_bytes(b"P5\n" + header + b"\n" + maxval + b"\n" + values.tobytes() + extra)
+        dmap = check_file_entry(path, folder)
+        assert dmap is not None
+        canonical = b"P5\n%d %d\n65535\n" % (width, height) + values.tobytes()
+        assert pgm_bytes(dmap) == read_pgm(path)[1] == canonical

@@ -69,10 +69,20 @@ class EmbeddingConfig:
     train_dir: str | None = None
     feature_dir: str | None = None
 
+    def __post_init__(self):
+        if self.backend not in ("baseline", "external"):
+            raise ValueError(f"unknown embedding backend {self.backend!r}")
+        if self.backend == "external" and self.feature_dir is None:
+            raise ValueError("external backend requires embedding.feature_dir")
+
 
 @dataclass(frozen=True)
 class MatchingConfig:
     pca_mode: str = "union"  # "union" | "gallery"
+
+    def __post_init__(self):
+        if self.pca_mode not in ("union", "gallery"):
+            raise ValueError(f"unknown pca_mode {self.pca_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -158,29 +168,33 @@ def _derived_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
-def _run_items(fn, items, workers: int) -> list[tuple[str, str | None]]:
-    """Run fn(item) per item; returns (label, error-or-None) pairs in order."""
+def _each_scan(input_dir, output_dir, config: PipelineConfig, workers: int, one) -> int:
+    """Run one(path, output_dir) on every PLY; returns the number that failed.
 
-    def guarded(item):
+    A failing scan is logged by file name and does not stop the others; the
+    resolved config is written once every scan has run.
+    """
+    files = _ply_files(input_dir)
+    output_dir = Path(output_dir)
+    output_dir.mkdir(parents=True, exist_ok=True)
+
+    def guarded(path: Path) -> str | None:
         try:
-            return fn(item)
+            one(path, output_dir)
         except Exception as exc:  # per-item isolation; commands keep going
-            return str(item), f"{type(exc).__name__}: {exc}"
+            return f"{type(exc).__name__}: {exc}"
+        return None
 
     if workers <= 1:
-        return [guarded(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(guarded, items))
-
-
-def _report(results) -> int:
-    failures = 0
-    for label, error in results:
-        if error is None:
-            continue
-        failures += 1
-        log.error("FAILED %s: %s", label, error)
-    return failures
+        errors = [guarded(path) for path in files]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            errors = list(pool.map(guarded, files))
+    for path, error in zip(files, errors):
+        if error is not None:
+            log.error("FAILED %s: %s", path.name, error)
+    _write_resolved_config(config, output_dir)
+    return sum(error is not None for error in errors)
 
 
 # ---------------------------------------------------------------------------
@@ -190,28 +204,21 @@ def _report(results) -> int:
 
 def cmd_preprocess(input_dir, output_dir, config: PipelineConfig, workers: int = 1) -> int:
     """Align and crop every scan; returns the number of failed scans."""
-    input_dir, output_dir = Path(input_dir), Path(output_dir)
-    files = _ply_files(input_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
     reference = config.load_reference()
     index = NeighborIndex(reference.points)
 
-    def one(path: Path):
-        cloud = load_ply(path)
+    def one(path: Path, out: Path) -> None:
         aligned, icp = preprocess_with_result(
-            cloud, reference, config.icp, config.render.crop_radius, index
+            load_ply(path), reference, config.icp, config.render.crop_radius, index
         )
-        save_ply(aligned, output_dir / path.name)
+        save_ply(aligned, out / path.name)
         log.info(
             "preprocess %s: rmse %.4f mm, %d iterations%s",
             path.name, icp.rmse, icp.iterations_used,
             "" if icp.converged else " (no convergence)",
         )
-        return path.name, None
 
-    results = _run_items(one, files, workers)
-    _write_resolved_config(config, output_dir)
-    return _report(results)
+    return _each_scan(input_dir, output_dir, config, workers, one)
 
 
 def cmd_augment(input_dir, output_dir, config: PipelineConfig, workers: int = 1) -> int:
@@ -219,37 +226,28 @@ def cmd_augment(input_dir, output_dir, config: PipelineConfig, workers: int = 1)
 
     Writes a manifest mapping every output file to its provenance.
     """
-    input_dir, output_dir = Path(input_dir), Path(output_dir)
-    files = _ply_files(input_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
     model = config.load_morphable()
     plan = config.augment
-
-    subjects: dict[str, list[Path]] = {}
-    for path in files:
-        subjects.setdefault(_subject_of(path.stem), []).append(path)
-
-    tasks = []
-    for subject in sorted(subjects):
-        for scan_pos, path in enumerate(sorted(subjects[subject])):
-            tasks.append((subject, scan_pos, path))
-
+    # a scan's position among its subject's scans, in file order
+    subject_scans: dict[str, list[Path]] = {}
+    for path in _ply_files(input_dir):
+        subject_scans.setdefault(_subject_of(path.stem), []).append(path)
     manifest: dict[str, dict] = {}
 
-    def one(task):
-        subject, scan_pos, path = task
-        scan = load_ply(path)
+    def one(path: Path, out: Path) -> None:
+        subject = _subject_of(path.stem)
+        scan_pos = subject_scans[subject].index(path)
         expressions = plan.expressions_per_subject if scan_pos == 0 else 0
         seed = _derived_seed(plan.seed, subject, scan_pos)
         local_plan = dataclasses.replace(
             plan, expressions_per_subject=expressions, seed=seed
         )
-        clouds = augment_subject(scan, model, local_plan, config.fit)
+        clouds = augment_subject(load_ply(path), model, local_plan, config.fit)
         for k, cloud in enumerate(clouds):
             kind = "expression" if k < expressions else "pose"
             counter = k if k < expressions else k - expressions
             name = f"{path.stem}_{'expr' if kind == 'expression' else 'pose'}{counter:02d}.ply"
-            save_ply(cloud, output_dir / name)
+            save_ply(cloud, out / name)
             manifest[name] = {
                 "source": path.name,
                 "subject": subject,
@@ -258,41 +256,33 @@ def cmd_augment(input_dir, output_dir, config: PipelineConfig, workers: int = 1)
                 "seed": seed,
             }
         log.info("augment %s: %d outputs", path.name, len(clouds))
-        return path.name, None
 
-    results = _run_items(one, tasks, workers)
-    (output_dir / "manifest.json").write_text(
+    failures = _each_scan(input_dir, output_dir, config, workers, one)
+    (Path(output_dir) / "manifest.json").write_text(
         json.dumps(dict(sorted(manifest.items())), sort_keys=True, indent=2) + "\n"
     )
-    _write_resolved_config(config, output_dir)
-    return _report(results)
+    return failures
 
 
 def cmd_render(
     input_dir, output_dir, config: PipelineConfig, patches: bool = False, workers: int = 1
 ) -> int:
     """Render every aligned PLY to a normalized 16-bit PGM (optionally patched)."""
-    input_dir, output_dir = Path(input_dir), Path(output_dir)
-    files = _ply_files(input_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
     plan = config.augment
 
-    def one(path: Path):
+    def one(path: Path, out: Path) -> None:
         dmap = render_pipeline(load_ply(path), config.render)
-        export_pgm(dmap, output_dir / f"{path.stem}.pgm")
+        export_pgm(dmap, out / f"{path.stem}.pgm")
         count = 1
         if patches:
             rng = np.random.default_rng(_derived_seed(config.seed, "patches", path.stem))
             for k in range(plan.patch_variants_per_scan):
                 patched = apply_patches(dmap, rng, plan.patch_count, plan.patch_size)
-                export_pgm(patched, output_dir / f"{path.stem}_patch{k:02d}.pgm")
+                export_pgm(patched, out / f"{path.stem}_patch{k:02d}.pgm")
                 count += 1
         log.info("render %s: %d maps", path.name, count)
-        return path.name, None
 
-    results = _run_items(one, files, workers)
-    _write_resolved_config(config, output_dir)
-    return _report(results)
+    return _each_scan(input_dir, output_dir, config, workers, one)
 
 
 def _pgm_files(directory) -> list[Path]:
@@ -305,11 +295,7 @@ def _pgm_files(directory) -> list[Path]:
 def _make_backend(config: PipelineConfig, gallery_dir):
     emb = config.embedding
     if emb.backend == "external":
-        if emb.feature_dir is None:
-            raise ValueError("external backend requires embedding.feature_dir")
         return ExternalBackend(emb.feature_dir)
-    if emb.backend != "baseline":
-        raise ValueError(f"unknown embedding backend {emb.backend!r}")
     train_maps = [load_pgm(f) for f in _pgm_files(emb.train_dir or gallery_dir)]
     return baseline_train(train_maps, emb.dimension, config.render.final_size)
 
@@ -331,8 +317,6 @@ def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> 
     if missing:
         raise MatchAccountingError(f"probe subjects absent from gallery: {', '.join(missing)}")
     mode = config.matching.pca_mode
-    if mode not in ("union", "gallery"):
-        raise ValueError(f"unknown pca_mode {mode!r}")
 
     backend = _make_backend(config, gallery_dir)
     # one sqrt-normalized feature row per map; the maps themselves are not kept

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import sys
 
 import numpy as np
@@ -16,6 +17,7 @@ from facepipe.cli import (
 )
 from facepipe.morphable import ModelParams, make_toy_model, synthesize
 from facepipe.pointcloud import (
+    PointCloud,
     RigidTransform,
     apply_transform,
     load_ply,
@@ -89,6 +91,25 @@ class TestConfig:
         path.write_text(json.dumps({"render": {"output_size": 64, "blur": 2}}))
         with pytest.raises(ValueError, match=r"config\.render.*blur"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "section, values, message",
+        [
+            ("embedding", {"backend": "nope"}, "unknown embedding backend 'nope'"),
+            ("embedding", {"backend": "external"}, "external backend requires embedding.feature_dir"),
+            ("matching", {"pca_mode": "bogus"}, "unknown pca_mode 'bogus'"),
+        ],
+        ids=["backend", "feature_dir", "pca_mode"],
+    )
+    def test_bad_value_rejected_before_any_work(self, toy, tmp_path, section, values, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"toy_model": TOY, section: values}))
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
+        write_raw_scans(toy, tmp_path / "raw", n_subjects=1, scans_each=1)
+        out = tmp_path / "pp"
+        assert main(["preprocess", str(tmp_path / "raw"), str(out), "--config", str(path)]) == 1
+        assert not out.exists()
 
     def test_resolved_config_round_trip(self, tmp_path):
         data = {
@@ -339,6 +360,62 @@ class TestEvaluate:
         with pytest.raises(FeatureLookupError, match=r"s02_a\.pgm: no feature file") as info:
             cmd_evaluate(rendered, rendered, ext_config, tmp_path / "r")
         assert str(info.value).startswith(str(rendered / "s02_a.pgm"))
+
+
+class TestPerItemFailure:
+    """One bad scan among good ones: it alone fails, by file name, and the rest is written."""
+
+    @staticmethod
+    def _setup(command, toy, config, tmp_path):
+        raw = tmp_path / "raw"
+        write_raw_scans(toy, raw, n_subjects=2, scans_each=1)
+        if command == "preprocess":
+            # too few points for the heuristic, and no landmark to fall back on
+            bad = PointCloud(np.random.default_rng(0).normal(size=(50, 3)))
+            save_ply(bad, raw / "s02_a.ply")
+            return raw
+        pp = tmp_path / "pp"
+        assert cmd_preprocess(raw, pp, config) == 0
+        if command == "augment":
+            # the first scan of its subject is fitted, and 20 points are too few
+            bad = PointCloud(load_ply(pp / "s00_a.ply").points[:20])
+        else:
+            bad = PointCloud(load_ply(pp / "s00_a.ply").points + [1e4, 0.0, 0.0])
+        save_ply(bad, pp / "s02_a.ply")
+        return pp
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "command, error, good_outputs",
+        [
+            ("preprocess", "PreprocessError", ["{s}.ply"]),
+            ("augment", "FitError", ["{s}_expr00.ply", "{s}_pose00.ply"]),
+            ("render", "EmptyRenderError", ["{s}.pgm"]),
+        ],
+        ids=["preprocess", "augment", "render"],
+    )
+    def test_bad_scan_fails_alone(
+        self, toy, tmp_path, caplog, command, error, good_outputs, workers
+    ):
+        config = load_config(overrides={
+            "toy_model": TOY,
+            "augment": {"expressions_per_subject": 1, "poses_per_scan": 1},
+        })
+        run = {"preprocess": cmd_preprocess, "augment": cmd_augment, "render": cmd_render}[command]
+        source = self._setup(command, toy, config, tmp_path)
+        out = tmp_path / "out"
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="facepipe"):
+            assert run(source, out, config, workers=workers) == 1
+        failed = [r.getMessage() for r in caplog.records if r.getMessage().startswith("FAILED")]
+        assert len(failed) == 1
+        assert failed[0].startswith(f"FAILED s02_a.ply: {error}: "), failed[0]
+        expected = sorted(o.format(s=s) for s in ("s00_a", "s01_a") for o in good_outputs)
+        written = sorted(p.name for p in out.iterdir() if p.suffix in (".ply", ".pgm"))
+        assert written == expected
+        assert (out / "config.resolved.json").exists()
+        if command == "augment":
+            assert sorted(json.loads((out / "manifest.json").read_text())) == expected
 
 
 class TestMain:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from facepipe.augmentation import AugmentPlan, apply_patches, augment_subject
-from facepipe.depthmap import RenderParams, export_pgm, load_pgm, render_pipeline
+from facepipe.depthmap import RenderParams, export_pgm, render_pipeline
 from facepipe.embedding import (
     ExternalBackend,
     baseline_train,
@@ -296,8 +296,8 @@ def _make_backend(config: PipelineConfig, gallery_dir):
     emb = config.embedding
     if emb.backend == "external":
         return ExternalBackend(emb.feature_dir)
-    train_maps = [load_pgm(f) for f in _pgm_files(emb.train_dir or gallery_dir)]
-    return baseline_train(train_maps, emb.dimension, config.render.final_size)
+    train_files = _pgm_files(emb.train_dir or gallery_dir)
+    return baseline_train(train_files, emb.dimension, config.render.final_size)
 
 
 def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> int:

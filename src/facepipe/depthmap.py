@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,7 @@ __all__ = [
     "export_pgm",
     "pgm_bytes",
     "read_pgm",
+    "pgm_depth",
     "load_pgm",
 ]
 
@@ -233,6 +235,15 @@ def export_pgm(dmap: DepthMap, path) -> None:
     Path(path).write_bytes(pgm_bytes(dmap))
 
 
+# Netpbm header: "P5", then width, height and maxval as ASCII-digit tokens.
+# Whitespace and "#" comments (to the end of the line) separate the tokens;
+# exactly one whitespace byte, or one comment with its line end, follows maxval.
+_PGM_SEP = rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*[\r\n])"
+_PGM_HEADER = re.compile(
+    rb"P5%s+([0-9]+)%s+([0-9]+)%s+([0-9]+)%s" % ((_PGM_SEP,) * 4)
+)
+
+
 def read_pgm(path) -> tuple[np.ndarray, bytes]:
     """Parse a 16-bit binary PGM into its (height, width) values and canonical bytes.
 
@@ -241,25 +252,32 @@ def read_pgm(path) -> tuple[np.ndarray, bytes]:
     `pgm_bytes` writes; the values are a big-endian uint16 view of them.
     """
     raw = Path(path).read_bytes()
-    parts = raw.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P5":
+    if raw[:2] != b"P5":
         raise ValueError(f"{path}: not a binary PGM")
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise ValueError(f"{path}: malformed PGM header")
     try:
-        width, height = (int(x) for x in parts[1].split())
-        maxval = int(parts[2])
-    except ValueError:
+        width, height, maxval = (int(token) for token in header.groups())
+    except ValueError:  # a token longer than int() converts
         raise ValueError(f"{path}: malformed PGM header") from None
     if width <= 0 or height <= 0:
         raise ValueError(f"{path}: malformed PGM header")
     if maxval != 65535:
         raise ValueError(f"{path}: expected 16-bit PGM, maxval {maxval}")
     count = width * height
-    if len(parts[3]) < 2 * count:
+    body = header.end()
+    if len(raw) - body < 2 * count:
         raise ValueError(f"{path}: truncated PGM body")
-    header = f"P5\n{width} {height}\n65535\n".encode("ascii")
-    data = header + parts[3][: 2 * count]
-    values = np.frombuffer(data, dtype=">u2", count=count, offset=len(header))
+    canonical = f"P5\n{width} {height}\n65535\n".encode("ascii")
+    data = canonical + raw[body : body + 2 * count]
+    values = np.frombuffer(data, dtype=">u2", count=count, offset=len(canonical))
     return values.reshape(height, width), data
+
+
+def pgm_depth(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Decode PGM values to 0..255 depths (value / 257), into `out` if given."""
+    return np.divide(values, 257.0, out=out)
 
 
 def load_pgm(path) -> DepthMap:
@@ -268,5 +286,5 @@ def load_pgm(path) -> DepthMap:
     Zero-valued pixels are treated as invalid, matching the export of
     normalized maps where invalid pixels carry 0.
     """
-    values, _ = read_pgm(path)
-    return DepthMap(values / 257.0, values != 0)
+    depth = pgm_depth(read_pgm(path)[0])
+    return DepthMap(depth, depth != 0)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from facepipe.depthmap import DepthMap, load_pgm, pgm_bytes, read_pgm
+from facepipe.depthmap import DepthMap, load_pgm, pgm_bytes, pgm_depth, read_pgm
 
 __all__ = [
     "PcaModel",
@@ -90,19 +90,20 @@ class PcaModel:
         return self.components.shape[0]
 
 
-def _pca(features: np.ndarray, pick_k) -> PcaModel:
+def _pca(x: np.ndarray, pick_k) -> PcaModel:
     """Top-k principal axes, k = pick_k(eigenvalues up to numerical rank, desc).
 
-    Uses the Gram-matrix route when there are fewer samples than
-    dimensions, which keeps flattened-image PCA tractable. Only the k kept
-    components are mapped back to feature space and sign-fixed.
+    `x` is a float64 matrix the caller owns; it is centred in place. Uses
+    the Gram-matrix route when there are fewer samples than dimensions,
+    which keeps flattened-image PCA tractable. Only the k kept components
+    are mapped back to feature space and sign-fixed.
     """
-    x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need at least two feature vectors")
     n, d = x.shape
     mean = x.mean(axis=0)
-    xc = x - mean
+    xc = x
+    xc -= mean  # in place: the same bits as x - mean
     gram = n <= d
     evals, evecs = np.linalg.eigh((xc @ xc.T if gram else xc.T @ xc) / (n - 1))
     order = np.argsort(evals)[::-1]
@@ -135,7 +136,11 @@ def _pca(features: np.ndarray, pick_k) -> PcaModel:
 
 def pca_fit(features, k: int) -> PcaModel:
     """Top-k principal axes of the sample covariance, deterministic signs."""
-    x = np.asarray(features, dtype=np.float64)
+    return _pca_k(np.array(features, dtype=np.float64), k)
+
+
+def _pca_k(x: np.ndarray, k: int) -> PcaModel:
+    """`pca_fit` on a matrix the caller owns; `x` is centred in place."""
     n, d = x.shape
     if k < 1 or k > min(d, n - 1):
         raise ValueError(f"k={k} out of range for {n} samples of dimension {d}")
@@ -155,7 +160,7 @@ def pca_fit_variance(features, variance_target: float, cap: int) -> PcaModel:
         cum = np.cumsum(evals) / evals.sum()
         return max(1, min(int(np.searchsorted(cum, variance_target)) + 1, cap, len(evals)))
 
-    return _pca(features, pick_k)
+    return _pca(np.array(features, dtype=np.float64), pick_k)
 
 
 def pca_transform(model: PcaModel, values: np.ndarray) -> np.ndarray:
@@ -177,6 +182,10 @@ class BaselineBackend:
         self._map_size = map_size
 
     @property
+    def model(self) -> PcaModel:
+        return self._model
+
+    @property
     def dimension(self) -> int:
         return self._model.k
 
@@ -192,15 +201,22 @@ class BaselineBackend:
         return self.embed(load_pgm(path))
 
 
-def baseline_train(maps, d: int, map_size: int = 224) -> BaselineBackend:
-    """Fit the eigen-depth-map basis on flattened training maps."""
-    maps = list(maps)
-    if len(maps) < d + 1:
-        raise ValueError(f"need at least {d + 1} training maps for d={d}, got {len(maps)}")
-    flat = np.stack([m.depth.reshape(-1) for m in maps])
-    if flat.shape[1] != map_size * map_size:
-        raise ValueError(f"training maps must be {map_size}x{map_size}")
-    return BaselineBackend(pca_fit(flat, d), map_size)
+def baseline_train(files, d: int, map_size: int = 224) -> BaselineBackend:
+    """Fit the eigen-depth-map basis on the maps of the training PGM files.
+
+    Each file is decoded straight into its row of one (n, map_size**2)
+    matrix, which the PCA then centres in place; no map is kept.
+    """
+    files = list(files)
+    if len(files) < d + 1:
+        raise ValueError(f"need at least {d + 1} training maps for d={d}, got {len(files)}")
+    flat = np.empty((len(files), map_size * map_size))
+    for row, path in zip(flat, files):
+        values, _ = read_pgm(path)
+        if values.shape != (map_size, map_size):
+            raise ValueError(f"{path}: training maps must be {map_size}x{map_size}")
+        pgm_depth(values.reshape(-1), out=row)
+    return BaselineBackend(_pca_k(flat, d), map_size)
 
 
 def feature_hash(dmap: DepthMap) -> str:

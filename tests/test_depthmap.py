@@ -308,6 +308,73 @@ class TestPgm:
             load_pgm(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"P5\n# written by hand\n2 2\n65535\n",
+            b"P5 2 2 65535\n",
+            b"P5 2 2 65535 ",
+            b"P5\t2\r\n2#size\n#\n065535\r",
+            b"P5\n2 2\n65535#comment\n",
+        ],
+        ids=["comment-line", "one-line", "one-line-space", "mixed-space", "comment-after-maxval"],
+    )
+    def test_netpbm_headers(self, tmp_path, header):
+        body = bytes(range(1, 9))
+        path = tmp_path / "m.pgm"
+        path.write_bytes(header + body + b"tail")
+        canonical = b"P5\n2 2\n65535\n" + body
+        assert read_pgm(path)[1] == canonical
+        assert pgm_bytes(load_pgm(path)) == canonical
+        assert check_file_entry(path, tmp_path) is not None
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"P5\n+2 2\n65535\n",
+            b"P5\n1_0 0_1\n65535\n",
+            b"P5\n2 2\n+65535\n",
+            b"P5\n2 2\n65_535\n",
+            b"P5\n2 2\n65535",
+            b"P52 2 65535\n",
+            b"P5\n2 2\n#65535\n",
+            b"P5\n2.0 2\n65535\n",
+        ],
+        ids=["plus", "underscores", "plus-maxval", "underscore-maxval", "no-raster-space",
+             "no-magic-space", "comment-for-maxval", "decimal"],
+    )
+    def test_rejects_non_netpbm_tokens(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + b"\x01" * 40)
+        with pytest.raises(ValueError, match="malformed PGM header") as info:
+            load_pgm(path)
+        assert str(path) in str(info.value)
+        check_file_entry(path, tmp_path)
+
+    def test_raster_starts_after_one_whitespace_byte(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n1 1\n65535 \n\x01")
+        assert read_pgm(path)[0].tolist() == [[ord("\n") * 256 + 1]]
+
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_bit_exact(self, tmp_path_factory, shape, data):
+        # valid depths k/257 (k = 1..65535) and 0 on invalid pixels: exactly
+        # the maps load_pgm produces, so export and reload change no bit
+        codes = np.array(
+            data.draw(st.lists(st.integers(0, 65535), min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1])),
+        ).reshape(shape)
+        dmap = DepthMap(codes / 257.0, codes != 0)
+        path = tmp_path_factory.mktemp("pgm") / "m.pgm"
+        export_pgm(dmap, path)
+        back = load_pgm(path)
+        assert back.depth.tobytes() == dmap.depth.tobytes()
+        assert back.valid.tobytes() == dmap.valid.tobytes()
+
 
 def check_file_entry(path, feature_dir):
     """The external backend's file entry keys `path` as
@@ -337,8 +404,10 @@ _pgm_tokens = st.one_of(
 )
 _pgm_spaces = st.sampled_from([b"", b" ", b"  ", b"\t", b" \t", b"\x0b", b"\r"])
 _pgm_maxvals = st.sampled_from(
-    [b"65535", b"065535", b"0065535", b"+65535", b"65_535", b"\t65535 ", b"65535 0"]
+    [b"65535", b"065535", b"0065535", b"+65535", b"65_535", b"\t65535", b"\t65535 ", b"65535 0"]
 )
+# the spellings netpbm reads as maxval 65535 with the raster after one newline
+_pgm_good_maxvals = st.sampled_from([b"65535", b"065535", b"0065535", b"\t65535"])
 
 
 class TestPgmFuzz:
@@ -364,14 +433,15 @@ class TestPgmFuzz:
         dmap = check_file_entry(path, folder)
         if dmap is not None:
             assert dmap.width >= 1 and dmap.height >= 1
-            assert 2 * dmap.width * dmap.height <= len(body)
+            # the raster follows at least the shortest header, "P5 1 1 65535 "
+            assert 2 * dmap.width * dmap.height <= len(path.read_bytes()) - 13
 
     @given(
         shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
         lead=_pgm_spaces,
         sep=_pgm_spaces.filter(bool),
         trail=_pgm_spaces,
-        maxval=_pgm_maxvals.filter(lambda m: m != b"65535 0"),
+        maxval=_pgm_good_maxvals,
         extra=st.binary(max_size=9),
         data=st.data(),
     )

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from facepipe.depthmap import DepthMap
+from facepipe.depthmap import DepthMap, export_pgm, load_pgm
 from facepipe.embedding import (
     ExternalBackend,
     FeatureFormatError,
@@ -32,6 +34,15 @@ def random_maps(rng, n, size=224):
         depth = rng.uniform(0, 255, (size, size))
         maps.append(DepthMap(depth, np.ones((size, size), bool)))
     return maps
+
+
+def write_pgms(folder, maps):
+    """Export each map to its own PGM in `folder`; returns the paths in order."""
+    paths = []
+    for i, dmap in enumerate(maps):
+        paths.append(folder / f"m{i:03d}.pgm")
+        export_pgm(dmap, paths[-1])
+    return paths
 
 
 class TestSqrtNormalize:
@@ -107,6 +118,15 @@ class TestPcaFit:
             capped = pca_fit_variance(x, 1.0, cap=k)
             assert capped.components.tobytes() == top.components.tobytes()
 
+    @pytest.mark.parametrize("shape", [(12, 40), (40, 6)], ids=["gram", "covariance"])
+    def test_fit_leaves_the_input_unchanged(self, shape):
+        x = np.random.default_rng(10).normal(size=shape) + 4.0
+        before = x.tobytes()
+        pca_fit(x, 3)
+        assert x.tobytes() == before
+        pca_fit_variance(x, 0.9, cap=5)
+        assert x.tobytes() == before
+
     def test_k_above_numerical_rank(self):
         x = np.repeat(np.random.default_rng(9).normal(size=(4, 10)), 3, axis=0)
         with pytest.raises(ValueError, match="numerical rank 3"):
@@ -168,31 +188,85 @@ class TestPcaTransform:
 
 
 class TestBaselineBackend:
-    def test_projection_residual_orthogonal(self):
+    def test_projection_residual_orthogonal(self, tmp_path):
         rng = np.random.default_rng(10)
         maps = random_maps(rng, 9, size=16)
-        backend = baseline_train(maps, d=4, map_size=16)
+        backend = baseline_train(write_pgms(tmp_path, maps), d=4, map_size=16)
         emb = backend.embed(maps[0])
         assert emb.shape == (4,)
 
-    def test_identical_maps_identical_embeddings(self):
+    def test_identical_maps_identical_embeddings(self, tmp_path):
         rng = np.random.default_rng(11)
         maps = random_maps(rng, 6, size=16)
-        backend = baseline_train(maps, d=3, map_size=16)
+        backend = baseline_train(write_pgms(tmp_path, maps), d=3, map_size=16)
         a = backend.embed(maps[2])
         b = backend.embed(DepthMap(maps[2].depth.copy(), maps[2].valid.copy()))
         assert np.array_equal(a, b)
 
-    def test_d1_separates_distinct_maps(self):
+    def test_d1_separates_distinct_maps(self, tmp_path):
         rng = np.random.default_rng(12)
         maps = random_maps(rng, 3, size=16)
-        backend = baseline_train(maps, d=1, map_size=16)
+        backend = baseline_train(write_pgms(tmp_path, maps), d=1, map_size=16)
         assert backend.embed(maps[0]) != backend.embed(maps[1])
 
-    def test_insufficient_samples(self):
+    def test_insufficient_samples(self, tmp_path):
         rng = np.random.default_rng(13)
-        with pytest.raises(ValueError, match="training maps"):
-            baseline_train(random_maps(rng, 4, size=16), d=4, map_size=16)
+        files = write_pgms(tmp_path, random_maps(rng, 4, size=16))
+        with pytest.raises(ValueError, match="need at least 5 training maps for d=4, got 4"):
+            baseline_train(files, d=4, map_size=16)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (8, 32)], ids=["smaller", "same-pixel-count"])
+    def test_map_size_mismatch_names_the_file(self, tmp_path, shape):
+        rng = np.random.default_rng(14)
+        files = write_pgms(tmp_path, random_maps(rng, 5, size=16))
+        odd = DepthMap(rng.uniform(0, 255, shape), np.ones(shape, bool))
+        export_pgm(odd, files[3])
+        with pytest.raises(ValueError, match="training maps must be 16x16") as info:
+            baseline_train(files, d=2, map_size=16)
+        assert str(files[3]) in str(info.value)
+
+    def test_unreadable_file_keeps_the_pgm_error(self, tmp_path):
+        rng = np.random.default_rng(15)
+        files = write_pgms(tmp_path, random_maps(rng, 5, size=16))
+        files[1].write_bytes(b"P2\n16 16\n255\n")
+        with pytest.raises(ValueError, match="not a binary PGM") as info:
+            baseline_train(files, d=2, map_size=16)
+        assert str(files[1]) in str(info.value)
+
+    def test_k_out_of_range(self, tmp_path):
+        rng = np.random.default_rng(16)
+        files = write_pgms(tmp_path, random_maps(rng, 5, size=16))
+        with pytest.raises(ValueError, match="k=0 out of range"):
+            baseline_train(files, d=0, map_size=16)
+
+    @pytest.mark.parametrize(("count", "size", "ks"), [(9, 8, (1, 4, 8)), (30, 4, (1, 7, 16))],
+                             ids=["gram", "covariance"])
+    def test_bitwise_equal_to_stacked_fit(self, tmp_path, count, size, ks):
+        rng = np.random.default_rng(17)
+        maps = []
+        for dmap in random_maps(rng, count, size=size):
+            valid = rng.uniform(size=(size, size)) > 0.2
+            maps.append(DepthMap(np.where(valid, dmap.depth, 0.0), valid))
+        files = write_pgms(tmp_path, maps)
+        for k in ks:
+            model = baseline_train(files, d=k, map_size=size).model
+            reference = pca_fit(np.stack([load_pgm(f).depth.ravel() for f in files]), k)
+            assert model.mean.tobytes() == reference.mean.tobytes()
+            assert model.components.tobytes() == reference.components.tobytes()
+            assert model.explained_variance.tobytes() == reference.explained_variance.tobytes()
+
+    def test_training_peak_memory(self, tmp_path):
+        # One owned (n, s*s) matrix plus the k components; a decoded map
+        # list, a stacked copy or a centred copy would each add n*s*s*8.
+        n, size, k = 60, 64, 16
+        files = write_pgms(tmp_path, random_maps(np.random.default_rng(18), n, size=size))
+        tracemalloc.start()
+        try:
+            baseline_train(files, d=k, map_size=size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (n + k) * size * size * 8
 
 
 class TestExternalBackend:

@@ -112,13 +112,15 @@ class PipelineConfig:
 
 def _build(cls, data: dict, where: str):
     """Instantiate a config dataclass, recursing into dataclass-typed fields."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be an object")
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown config keys in {where}: {sorted(unknown)}")
     types = typing.get_type_hints(cls)
     kwargs = {}
     for name, value in data.items():
-        if isinstance(value, dict) and dataclasses.is_dataclass(types[name]):
+        if dataclasses.is_dataclass(types[name]):
             value = _build(types[name], value, f"{where}.{name}")
         kwargs[name] = value
     return cls(**kwargs)
@@ -129,16 +131,12 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     data = {}
     if path is not None:
         data = json.loads(Path(path).read_text())
-    if overrides:
-        for key, value in overrides.items():
-            if value is not None:
-                data[key] = value
-    # an unset or null augment seed inherits the master seed
-    aug = data.setdefault("augment", {})
-    if not isinstance(aug, dict):
-        raise ValueError("config key 'augment' must be an object")
-    if aug.get("seed") is None:
-        aug["seed"] = data.get("seed", 0)
+    if isinstance(data, dict):  # anything else is rejected by _build
+        data.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+        # an unset or null augment seed inherits the master seed
+        aug = data.setdefault("augment", {})
+        if isinstance(aug, dict) and aug.get("seed") is None:
+            aug["seed"] = data.get("seed", 0)
     return _build(PipelineConfig, data, "config")
 
 

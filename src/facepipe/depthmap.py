@@ -226,9 +226,13 @@ def pgm_bytes(dmap: DepthMap) -> bytes:
     # tolerance absorbs one-ulp overshoot from bilinear resampling
     if dmap.depth.min() < -1e-6 or dmap.depth.max() > 255.0 + 1e-6:
         raise ValueError("map is not normalized to 0..255; call normalize() first")
-    header = f"P5\n{dmap.width} {dmap.height}\n65535\n".encode("ascii")
     values = np.rint(np.clip(dmap.depth, 0.0, 255.0) * 257.0).astype(">u2")
-    return header + values.tobytes()
+    return _pgm_header(dmap.width, dmap.height) + values.tobytes()
+
+
+def _pgm_header(width: int, height: int) -> bytes:
+    """The canonical header `pgm_bytes` writes and `read_pgm` rebuilds."""
+    return f"P5\n{width} {height}\n65535\n".encode("ascii")
 
 
 def export_pgm(dmap: DepthMap, path) -> None:
@@ -269,7 +273,7 @@ def read_pgm(path) -> tuple[np.ndarray, bytes]:
     body = header.end()
     if len(raw) - body < 2 * count:
         raise ValueError(f"{path}: truncated PGM body")
-    canonical = f"P5\n{width} {height}\n65535\n".encode("ascii")
+    canonical = _pgm_header(width, height)
     data = canonical + raw[body : body + 2 * count]
     values = np.frombuffer(data, dtype=">u2", count=count, offset=len(canonical))
     return values.reshape(height, width), data

@@ -4,10 +4,11 @@ A backend maps a normalized 224x224 depth map to a fixed-dimension vector.
 The built-in baseline projects flattened maps onto an eigen-depth-map basis;
 the external backend reads precomputed vectors keyed by the SHA-256 of the
 exported PGM bytes, which is the interchange point for any offline feature
-extractor. Both backends also embed a PGM file directly (`embed_file`); the
-external one hashes the file's canonical bytes without decoding the map.
-Post-processing follows the matching chain: signed square root,
-then PCA.
+extractor. Both backends also embed a PGM file directly (`embed_file`)
+without building a `DepthMap`: the baseline decodes it straight into its
+feature row, as training does; the external one hashes its canonical bytes
+and takes its dimension from the first feature looked up.
+Post-processing follows the matching chain: signed square root, then PCA.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from facepipe.depthmap import DepthMap, load_pgm, pgm_bytes, pgm_depth, read_pgm
+from facepipe.depthmap import DepthMap, pgm_bytes, pgm_depth, read_pgm
 
 __all__ = [
     "PcaModel",
@@ -185,20 +186,25 @@ class BaselineBackend:
     def model(self) -> PcaModel:
         return self._model
 
-    @property
-    def dimension(self) -> int:
-        return self._model.k
-
     def embed(self, dmap: DepthMap) -> np.ndarray:
-        if dmap.height != self._map_size or dmap.width != self._map_size:
-            raise ValueError(
-                f"expected {self._map_size}x{self._map_size} map, "
-                f"got {dmap.height}x{dmap.width}"
-            )
+        _check_size(dmap.depth.shape, self._map_size)
         return pca_transform(self._model, dmap.depth.reshape(-1))
 
     def embed_file(self, path) -> np.ndarray:
-        return self.embed(load_pgm(path))
+        """`embed(load_pgm(path))`, decoded straight to the feature row."""
+        return pca_transform(self._model, _map_row(path, self._map_size))
+
+
+def _check_size(shape, size: int, where: str = "") -> None:
+    if shape != (size, size):
+        raise ValueError(f"{where}expected {size}x{size} map, got {shape[0]}x{shape[1]}")
+
+
+def _map_row(path, size: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The flattened 0..255 depths of a size x size PGM, into `out` if given."""
+    values, _ = read_pgm(path)
+    _check_size(values.shape, size, f"{path}: ")
+    return pgm_depth(values.reshape(-1), out=out)
 
 
 def baseline_train(files, d: int, map_size: int = 224) -> BaselineBackend:
@@ -212,10 +218,7 @@ def baseline_train(files, d: int, map_size: int = 224) -> BaselineBackend:
         raise ValueError(f"need at least {d + 1} training maps for d={d}, got {len(files)}")
     flat = np.empty((len(files), map_size * map_size))
     for row, path in zip(flat, files):
-        values, _ = read_pgm(path)
-        if values.shape != (map_size, map_size):
-            raise ValueError(f"{path}: training maps must be {map_size}x{map_size}")
-        pgm_depth(values.reshape(-1), out=row)
+        _map_row(path, map_size, out=row)
     return BaselineBackend(_pca_k(flat, d), map_size)
 
 
@@ -254,13 +257,7 @@ class ExternalBackend:
         self._dir = Path(directory)
         if not self._dir.is_dir():
             raise FileNotFoundError(f"feature directory {self._dir} does not exist")
-        self._dimension = None
-        for f in sorted(self._dir.glob("*.fvec")):
-            try:
-                self._dimension = read_feature_file(f).shape[0]
-                break
-            except FeatureFormatError:
-                continue  # surfaces as a format error if actually looked up
+        self._dimension = None  # set by the first lookup
 
     @property
     def dimension(self) -> int | None:

@@ -98,8 +98,11 @@ class TestConfig:
             ("embedding", {"backend": "nope"}, "unknown embedding backend 'nope'"),
             ("embedding", {"backend": "external"}, "external backend requires embedding.feature_dir"),
             ("matching", {"pca_mode": "bogus"}, "unknown pca_mode 'bogus'"),
+            ("render", 5, "config.render must be an object"),
+            ("render", None, "config.render must be an object"),
+            ("augment", 5, "config.augment must be an object"),
         ],
-        ids=["backend", "feature_dir", "pca_mode"],
+        ids=["backend", "feature_dir", "pca_mode", "render-int", "render-null", "augment-int"],
     )
     def test_bad_value_rejected_before_any_work(self, toy, tmp_path, section, values, message):
         path = tmp_path / "c.json"
@@ -110,6 +113,13 @@ class TestConfig:
         out = tmp_path / "pp"
         assert main(["preprocess", str(tmp_path / "raw"), str(out), "--config", str(path)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[1]", "5", "null"], ids=["list", "number", "null"])
+    def test_top_level_must_be_an_object(self, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^config must be an object$"):
+            load_config(path, {"seed": 9})
 
     def test_resolved_config_round_trip(self, tmp_path):
         data = {
@@ -327,15 +337,17 @@ class TestEvaluate:
         assert summary["backend"] == "external"
         assert summary["rank1_accuracy"] == 1.0
 
-    def test_external_backend_decodes_no_map(self, rendered, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("backend", ["baseline", "external"])
+    def test_backend_decodes_no_map(self, rendered, config, tmp_path, monkeypatch, backend):
         import facepipe.depthmap
 
-        ext_config = self._external(rendered, tmp_path)
+        if backend == "external":
+            config = self._external(rendered, tmp_path)
         expected = tmp_path / "expected"
-        assert cmd_evaluate(rendered, rendered, ext_config, expected) == 0
+        assert cmd_evaluate(rendered, rendered, config, expected) == 0
 
         def refuse(path):
-            raise AssertionError(f"load_pgm({path}) on the external path")
+            raise AssertionError(f"load_pgm({path}) in evaluate")
 
         original = facepipe.depthmap.load_pgm
         bindings = [
@@ -348,10 +360,21 @@ class TestEvaluate:
         assert (facepipe.depthmap, "load_pgm") in bindings
         for mod, key in bindings:
             monkeypatch.setattr(mod, key, refuse)
-        report = tmp_path / "ext_report"
-        assert cmd_evaluate(rendered, rendered, ext_config, report) == 0
+        report = tmp_path / "report"
+        assert cmd_evaluate(rendered, rendered, config, report) == 0
         for name in ("summary.json", "cmc.csv", "roc.csv"):
             assert (report / name).read_bytes() == (expected / name).read_bytes()
+
+    def test_wrong_size_probe_names_the_file(self, rendered, config, tmp_path):
+        from facepipe.depthmap import DepthMap, export_pgm
+
+        probe_dir = tmp_path / "probes"
+        probe_dir.mkdir()
+        odd = probe_dir / "s01_a.pgm"
+        export_pgm(DepthMap(np.full((8, 8), 100.0), np.ones((8, 8), bool)), odd)
+        with pytest.raises(ValueError, match="expected 224x224 map, got 8x8") as info:
+            cmd_evaluate(rendered, probe_dir, config, tmp_path / "r")
+        assert str(info.value).startswith(f"{odd}: ")
 
     def test_external_backend_missing_feature(self, rendered, tmp_path):
         from facepipe.embedding import FeatureLookupError

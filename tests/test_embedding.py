@@ -36,6 +36,15 @@ def random_maps(rng, n, size=224):
     return maps
 
 
+def masked_maps(rng, n, size):
+    """Random maps with about a fifth of their pixels invalid."""
+    maps = []
+    for dmap in random_maps(rng, n, size=size):
+        valid = rng.uniform(size=(size, size)) > 0.2
+        maps.append(DepthMap(np.where(valid, dmap.depth, 0.0), valid))
+    return maps
+
+
 def write_pgms(folder, maps):
     """Export each map to its own PGM in `folder`; returns the paths in order."""
     paths = []
@@ -221,9 +230,27 @@ class TestBaselineBackend:
         files = write_pgms(tmp_path, random_maps(rng, 5, size=16))
         odd = DepthMap(rng.uniform(0, 255, shape), np.ones(shape, bool))
         export_pgm(odd, files[3])
-        with pytest.raises(ValueError, match="training maps must be 16x16") as info:
+        with pytest.raises(ValueError, match=f"expected 16x16 map, got {shape[0]}x{shape[1]}") as info:
             baseline_train(files, d=2, map_size=16)
-        assert str(files[3]) in str(info.value)
+        assert str(info.value).startswith(f"{files[3]}: ")
+
+    def test_embed_and_embed_file_share_the_size_error(self, tmp_path):
+        rng = np.random.default_rng(19)
+        backend = baseline_train(write_pgms(tmp_path, random_maps(rng, 4, size=16)), d=2, map_size=16)
+        odd = DepthMap(rng.uniform(0, 255, (8, 32)), np.ones((8, 32), bool))
+        export_pgm(odd, tmp_path / "odd.pgm")
+        with pytest.raises(ValueError) as from_map:
+            backend.embed(odd)
+        with pytest.raises(ValueError) as from_file:
+            backend.embed_file(tmp_path / "odd.pgm")
+        assert str(from_map.value) == "expected 16x16 map, got 8x32"
+        assert str(from_file.value) == f"{tmp_path / 'odd.pgm'}: expected 16x16 map, got 8x32"
+
+    def test_embed_file_bitwise_equal_to_embed_of_loaded_map(self, tmp_path):
+        files = write_pgms(tmp_path, masked_maps(np.random.default_rng(20), 8, size=16))
+        backend = baseline_train(files, d=4, map_size=16)
+        for f in files:
+            assert backend.embed_file(f).tobytes() == backend.embed(load_pgm(f)).tobytes()
 
     def test_unreadable_file_keeps_the_pgm_error(self, tmp_path):
         rng = np.random.default_rng(15)
@@ -242,12 +269,7 @@ class TestBaselineBackend:
     @pytest.mark.parametrize(("count", "size", "ks"), [(9, 8, (1, 4, 8)), (30, 4, (1, 7, 16))],
                              ids=["gram", "covariance"])
     def test_bitwise_equal_to_stacked_fit(self, tmp_path, count, size, ks):
-        rng = np.random.default_rng(17)
-        maps = []
-        for dmap in random_maps(rng, count, size=size):
-            valid = rng.uniform(size=(size, size)) > 0.2
-            maps.append(DepthMap(np.where(valid, dmap.depth, 0.0), valid))
-        files = write_pgms(tmp_path, maps)
+        files = write_pgms(tmp_path, masked_maps(np.random.default_rng(17), count, size))
         for k in ks:
             model = baseline_train(files, d=k, map_size=size).model
             reference = pca_fit(np.stack([load_pgm(f).depth.ravel() for f in files]), k)
@@ -299,6 +321,19 @@ class TestExternalBackend:
         backend = ExternalBackend(tmp_path)
         with pytest.raises(FeatureFormatError):
             backend.embed(dmap)
+
+    def test_dimension_set_by_first_lookup(self, tmp_path):
+        rng = np.random.default_rng(18)
+        first, second = self._normalized_map(rng), self._normalized_map(rng)
+        write_feature_file(rng.normal(size=8), tmp_path / f"{feature_hash(first)}.fvec")
+        write_feature_file(rng.normal(size=4), tmp_path / f"{feature_hash(second)}.fvec")
+        write_feature_file(rng.normal(size=3), tmp_path / "0.fvec")  # unused; sorts first
+        backend = ExternalBackend(tmp_path)
+        assert backend.dimension is None
+        assert backend.embed(first).shape == (8,)
+        assert backend.dimension == 8
+        with pytest.raises(FeatureFormatError, match="dimension 4 != backend dimension 8"):
+            backend.embed(second)
 
     def test_feature_file_round_trip(self, tmp_path):
         values = np.random.default_rng(17).normal(size=33)

@@ -110,8 +110,20 @@ class PipelineConfig:
         return self.load_morphable().mean_cloud()
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a config field's type hint; a bool is not a number."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:  # a fixed-length tuple arrives as a JSON list
+        fixed = isinstance(value, (list, tuple)) and len(value) == len(args)
+        return fixed and all(map(_fits, value, args))
+    if args:  # X | None
+        return any(_fits(value, a) for a in args)
+    kinds = (int, float) if hint is float else hint
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _build(cls, data: dict, where: str):
-    """Instantiate a config dataclass, recursing into dataclass-typed fields."""
+    """Instantiate a config dataclass; sections recurse, other values must fit their hints."""
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be an object")
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
@@ -120,8 +132,12 @@ def _build(cls, data: dict, where: str):
     types = typing.get_type_hints(cls)
     kwargs = {}
     for name, value in data.items():
-        if dataclasses.is_dataclass(types[name]):
-            value = _build(types[name], value, f"{where}.{name}")
+        hint = types[name]
+        if dataclasses.is_dataclass(hint):
+            value = _build(hint, value, f"{where}.{name}")
+        elif not _fits(value, hint):
+            got = json.dumps(value, default=repr)
+            raise ValueError(f"{where}.{name} must be {getattr(hint, '__name__', hint)}, got {got}")
         kwargs[name] = value
     return cls(**kwargs)
 
@@ -140,18 +156,22 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     return _build(PipelineConfig, data, "config")
 
 
-def _config_json(config: PipelineConfig) -> str:
-    return json.dumps(dataclasses.asdict(config), sort_keys=True, indent=2) + "\n"
+def _write_json(path: Path, value) -> None:
+    path.write_text(json.dumps(value, sort_keys=True, indent=2) + "\n")
 
 
-def _write_resolved_config(config: PipelineConfig, out_dir: Path) -> None:
-    (out_dir / "config.resolved.json").write_text(_config_json(config))
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _ply_files(directory: Path) -> list[Path]:
-    files = sorted(Path(directory).glob("*.ply"))
+def _inputs(directory, suffix: str) -> list[Path]:
+    """The directory's files with this suffix, sorted by stem (the subject label's source)."""
+    files = sorted(Path(directory).glob(f"*{suffix}"), key=lambda f: f.stem)
     if not files:
-        raise FileNotFoundError(f"no inputs: no .ply files in {directory}")
+        raise FileNotFoundError(f"no inputs: no {suffix} files in {directory}")
     return files
 
 
@@ -166,13 +186,12 @@ def _derived_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
-def _each_scan(input_dir, output_dir, config: PipelineConfig, workers: int, one) -> int:
-    """Run one(path, output_dir) on every PLY; returns the number that failed.
+def _each_scan(files, output_dir, config: PipelineConfig, workers: int, one) -> int:
+    """Run one(path, output_dir) on every listed scan; returns the number that failed.
 
     A failing scan is logged by file name and does not stop the others; the
     resolved config is written once every scan has run.
     """
-    files = _ply_files(input_dir)
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
 
@@ -191,7 +210,7 @@ def _each_scan(input_dir, output_dir, config: PipelineConfig, workers: int, one)
     for path, error in zip(files, errors):
         if error is not None:
             log.error("FAILED %s: %s", path.name, error)
-    _write_resolved_config(config, output_dir)
+    _write_json(output_dir / "config.resolved.json", dataclasses.asdict(config))
     return sum(error is not None for error in errors)
 
 
@@ -216,7 +235,7 @@ def cmd_preprocess(input_dir, output_dir, config: PipelineConfig, workers: int =
             "" if icp.converged else " (no convergence)",
         )
 
-    return _each_scan(input_dir, output_dir, config, workers, one)
+    return _each_scan(_inputs(input_dir, ".ply"), output_dir, config, workers, one)
 
 
 def cmd_augment(input_dir, output_dir, config: PipelineConfig, workers: int = 1) -> int:
@@ -226,9 +245,10 @@ def cmd_augment(input_dir, output_dir, config: PipelineConfig, workers: int = 1)
     """
     model = config.load_morphable()
     plan = config.augment
+    files = _inputs(input_dir, ".ply")
     # a scan's position among its subject's scans, in file order
     subject_scans: dict[str, list[Path]] = {}
-    for path in _ply_files(input_dir):
+    for path in files:
         subject_scans.setdefault(_subject_of(path.stem), []).append(path)
     manifest: dict[str, dict] = {}
 
@@ -255,10 +275,8 @@ def cmd_augment(input_dir, output_dir, config: PipelineConfig, workers: int = 1)
             }
         log.info("augment %s: %d outputs", path.name, len(clouds))
 
-    failures = _each_scan(input_dir, output_dir, config, workers, one)
-    (Path(output_dir) / "manifest.json").write_text(
-        json.dumps(dict(sorted(manifest.items())), sort_keys=True, indent=2) + "\n"
-    )
+    failures = _each_scan(files, output_dir, config, workers, one)
+    _write_json(Path(output_dir) / "manifest.json", manifest)
     return failures
 
 
@@ -273,28 +291,21 @@ def cmd_render(
         export_pgm(dmap, out / f"{path.stem}.pgm")
         count = 1
         if patches:
-            rng = np.random.default_rng(_derived_seed(config.seed, "patches", path.stem))
+            rng = np.random.default_rng(_derived_seed(plan.seed, "patches", path.stem))
             for k in range(plan.patch_variants_per_scan):
                 patched = apply_patches(dmap, rng, plan.patch_count, plan.patch_size)
                 export_pgm(patched, out / f"{path.stem}_patch{k:02d}.pgm")
                 count += 1
         log.info("render %s: %d maps", path.name, count)
 
-    return _each_scan(input_dir, output_dir, config, workers, one)
+    return _each_scan(_inputs(input_dir, ".ply"), output_dir, config, workers, one)
 
 
-def _pgm_files(directory) -> list[Path]:
-    files = sorted(Path(directory).glob("*.pgm"), key=lambda f: f.stem)
-    if not files:
-        raise FileNotFoundError(f"no inputs: no .pgm files in {directory}")
-    return files
-
-
-def _make_backend(config: PipelineConfig, gallery_dir):
+def _make_backend(config: PipelineConfig, gallery_files: list[Path]):
     emb = config.embedding
     if emb.backend == "external":
         return ExternalBackend(emb.feature_dir)
-    train_files = _pgm_files(emb.train_dir or gallery_dir)
+    train_files = _inputs(emb.train_dir, ".pgm") if emb.train_dir else gallery_files
     return baseline_train(train_files, emb.dimension, config.render.final_size)
 
 
@@ -305,8 +316,8 @@ def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> 
     """
     report_dir = Path(report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
-    gallery_files = _pgm_files(gallery_dir)
-    probe_files = _pgm_files(probe_dir)
+    gallery_files = _inputs(gallery_dir, ".pgm")
+    probe_files = _inputs(probe_dir, ".pgm")
 
     gallery_ids = [_subject_of(f.stem) for f in gallery_files]
     true_ids = [_subject_of(f.stem) for f in probe_files]
@@ -316,15 +327,12 @@ def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> 
         raise MatchAccountingError(f"probe subjects absent from gallery: {', '.join(missing)}")
     mode = config.matching.pca_mode
 
-    backend = _make_backend(config, gallery_dir)
-    # one sqrt-normalized feature row per map; the maps themselves are not kept
-    gallery_feats, probe_feats = (
-        np.stack([sqrt_normalize(backend.embed_file(f)) for f in files])
-        for files in (gallery_files, probe_files)
-    )
-    fit = gallery_feats if mode == "gallery" else np.vstack([gallery_feats, probe_feats])
+    backend = _make_backend(config, gallery_files)
+    # one sqrt-normalized feature row per map, gallery then probes; no map is kept
+    feats = np.stack([sqrt_normalize(backend.embed_file(f)) for f in gallery_files + probe_files])
+    gallery_feats, probe_feats = feats[: len(gallery_files)], feats[len(gallery_files) :]
+    fit = gallery_feats if mode == "gallery" else feats
     pca = pca_fit_variance(fit, config.embedding.pca_variance_target, max(1, len(gallery_ids) - 1))
-    del fit
 
     gallery = Gallery(zip(gallery_ids, pca_transform(pca, gallery_feats)))
     scores = gallery.identity_distances(pca_transform(pca, probe_feats))
@@ -335,16 +343,10 @@ def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> 
     own = scores.own(true_ids)  # genuine: own identity; impostor: each other one
     roc_curve = roc(scores.values[own], scores.values[~own])
 
-    with (report_dir / "cmc.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "accuracy"])
-        for r, acc in enumerate(curve, start=1):
-            writer.writerow([r, repr(float(acc))])
-    with (report_dir / "roc.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["far", "vr"])
-        for far, vr in roc_curve:
-            writer.writerow([repr(float(far)), repr(float(vr))])
+    cmc_rows = ((r, repr(float(acc))) for r, acc in enumerate(curve, start=1))
+    _write_csv(report_dir / "cmc.csv", ["rank", "accuracy"], cmc_rows)
+    roc_rows = ((repr(float(far)), repr(float(vr))) for far, vr in roc_curve)
+    _write_csv(report_dir / "roc.csv", ["far", "vr"], roc_rows)
     summary = {
         "gallery_size": len(gallery),
         "probe_count": len(probe_files),
@@ -354,10 +356,8 @@ def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> 
         "pca_mode": mode,
         "backend": config.embedding.backend,
     }
-    (report_dir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    )
-    _write_resolved_config(config, report_dir)
+    _write_json(report_dir / "summary.json", summary)
+    _write_json(report_dir / "config.resolved.json", dataclasses.asdict(config))
     log.info(
         "evaluate: rank-1 %.4f rank-2 %.4f over %d probes",
         summary["rank1_accuracy"], summary["rank2_accuracy"], len(probe_files),

@@ -126,15 +126,12 @@ def render_depth(cloud: PointCloud, params: RenderParams = RenderParams()) -> De
     u, v, z = u[inside], v[inside], z[inside]
     rows, cols, weights = bilinear_weights(u, v, size)
 
-    weight_sum = np.zeros((size, size))
-    value_sum = np.zeros((size, size))
     flat = rows.ravel() * size + cols.ravel()  # per point, its 4 corners in order
-    np.add.at(weight_sum.ravel(), flat, weights.ravel())
-    np.add.at(value_sum.ravel(), flat, (weights * z[:, None]).ravel())
+    weight_sum = np.bincount(flat, weights.ravel(), size * size).reshape(size, size)
+    value_sum = np.bincount(flat, (weights * z[:, None]).ravel(), size * size).reshape(size, size)
 
     valid = weight_sum > 0
-    depth = np.zeros((size, size))
-    depth[valid] = value_sum[valid] / weight_sum[valid]
+    depth = np.divide(value_sum, weight_sum, out=np.zeros((size, size)), where=valid)
     return DepthMap(depth, valid)
 
 

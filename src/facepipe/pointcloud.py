@@ -125,14 +125,12 @@ class RigidTransform:
         return RigidTransform(rt, -rt @ self.translation)
 
 
-def rotation_zyx(theta_x: float, theta_y: float, theta_z: float,
-                 degrees: bool = True) -> np.ndarray:
-    """Rotation matrix Rz(theta_z) @ Ry(theta_y) @ Rx(theta_x).
+def rotation_zyx(theta_x: float, theta_y: float, theta_z: float) -> np.ndarray:
+    """Rotation matrix Rz(theta_z) @ Ry(theta_y) @ Rx(theta_x), angles in degrees.
 
     Right-handed, y-up convention shared by the whole pipeline.
     """
-    if degrees:
-        theta_x, theta_y, theta_z = np.deg2rad([theta_x, theta_y, theta_z])
+    theta_x, theta_y, theta_z = np.deg2rad([theta_x, theta_y, theta_z])
     cx, sx = np.cos(theta_x), np.sin(theta_x)
     cy, sy = np.cos(theta_y), np.sin(theta_y)
     cz, sz = np.cos(theta_z), np.sin(theta_z)
@@ -142,8 +140,8 @@ def rotation_zyx(theta_x: float, theta_y: float, theta_z: float,
     return rz @ ry @ rx
 
 
-def euler_angles_zyx(rotation: np.ndarray, degrees: bool = True) -> np.ndarray:
-    """Angles (theta_x, theta_y, theta_z) such that rotation_zyx reproduces the matrix.
+def euler_angles_zyx(rotation: np.ndarray) -> np.ndarray:
+    """Angles in degrees (theta_x, theta_y, theta_z) that rotation_zyx maps to the matrix.
 
     Valid away from the gimbal-lock pitch of +/-90 degrees.
     """
@@ -151,8 +149,7 @@ def euler_angles_zyx(rotation: np.ndarray, degrees: bool = True) -> np.ndarray:
     theta_y = np.arcsin(np.clip(-r[2, 0], -1.0, 1.0))
     theta_x = np.arctan2(r[2, 1], r[2, 2])
     theta_z = np.arctan2(r[1, 0], r[0, 0])
-    out = np.array([theta_x, theta_y, theta_z])
-    return np.rad2deg(out) if degrees else out
+    return np.rad2deg(np.array([theta_x, theta_y, theta_z]))
 
 
 class NeighborIndex:
@@ -186,31 +183,21 @@ class NeighborIndex:
 
     def query(self, p) -> int:
         """Index of the closest stored point to p (lowest index on ties)."""
-        p = np.asarray(p, dtype=np.float64).reshape(3)
-        dist, idx = self._tree.query(p)
-        if dist == 0.0:
-            candidates = self._tree.query_ball_point(p, 0.0)
-        else:
-            # Inflate slightly so kd-tree rounding cannot exclude a tied point.
-            candidates = self._tree.query_ball_point(p, dist * (1.0 + 1e-9))
-        candidates = np.sort(np.asarray(candidates, dtype=np.intp))
-        sq = np.sum((self._points[candidates] - p) ** 2, axis=1)
-        return int(candidates[np.argmin(sq)])
+        return int(self.query_many(np.asarray(p, dtype=np.float64).reshape(1, 3))[1][0])
 
     def query_many(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized nearest query; returns (distances, indices).
-
-        Applies the same lowest-index tie rule as query().
-        """
+        """Vectorized nearest query; returns (distances, indices)."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        k = min(2, len(self._points))
-        dist, idx = self._tree.query(pts, k=k)
-        if k == 1:
-            return dist.reshape(-1), idx.reshape(-1).astype(np.intp)
+        # with one stored point the second neighbour is at infinity, so never tied
+        dist, idx = self._tree.query(pts, k=2)
         best_d, best_i = dist[:, 0].copy(), idx[:, 0].astype(np.intp)
-        tied = dist[:, 0] == dist[:, 1]
-        for row in np.nonzero(tied)[0]:
-            best_i[row] = self.query(pts[row])
+        for row in np.flatnonzero(dist[:, 0] == dist[:, 1]):
+            p = pts[row]
+            # Inflate slightly so kd-tree rounding cannot exclude a tied point.
+            candidates = self._tree.query_ball_point(p, best_d[row] * (1.0 + 1e-9))
+            candidates = np.sort(np.asarray(candidates, dtype=np.intp))
+            sq = np.sum((self._points[candidates] - p) ** 2, axis=1)
+            best_i[row] = candidates[np.argmin(sq)]
         return best_d, best_i
 
 
@@ -238,9 +225,9 @@ def crop_sphere(cloud: PointCloud, center, radius: float) -> PointCloud:
 
 # ---------------------------------------------------------------------------
 # PLY I/O. Reads ASCII and binary_little_endian, writes binary_little_endian
-# float32; vertex x/y/z properties required, unknown vertex properties
-# ignored. Landmarks travel in a JSON sidecar
-# ("<stem>.landmarks.json") so the PLY itself stays standard.
+# float32; vertex x/y/z properties required, unknown scalar vertex
+# properties ignored, vertex list properties rejected. Landmarks travel in a
+# JSON sidecar ("<stem>.landmarks.json") so the PLY itself stays standard.
 # ---------------------------------------------------------------------------
 
 # PLY scalar type name -> little-endian numpy dtype.
@@ -312,7 +299,9 @@ def load_ply(path) -> PointCloud:
     _, n_vertices, props = elements[vert_pos]
     if n_vertices == 0:
         raise PlyParseError(f"{path}: vertex element declares zero vertices")
-    prop_names = [p[1] if p[0] != "list" else None for p in props]
+    if any(p[0] == "list" for p in props):
+        raise PlyParseError(f"{path}: list properties on vertices are unsupported")
+    prop_names = [p[1] for p in props]
     try:
         xyz_cols = [prop_names.index(c) for c in ("x", "y", "z")]
     except ValueError:
@@ -358,8 +347,6 @@ def load_ply(path) -> PointCloud:
             raise PlyParseError(
                 f"{path}: binary files must declare the vertex element first"
             )
-        if any(p[0] == "list" for p in props):
-            raise PlyParseError(f"{path}: list properties on vertices are unsupported")
         # packed record; fields are named by position since names may repeat
         record = np.dtype([(f"f{k}", _PLY_DTYPES[p[0]]) for k, p in enumerate(props)])
         need = record.itemsize * n_vertices

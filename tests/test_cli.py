@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import re
 import sys
 
 import numpy as np
@@ -101,13 +102,24 @@ class TestConfig:
             ("render", 5, "config.render must be an object"),
             ("render", None, "config.render must be an object"),
             ("augment", 5, "config.augment must be an object"),
+            ("seed", None, "config.seed must be int, got null"),
+            ("augment", {"poses_per_scan": 2.5},
+             "config.augment.poses_per_scan must be int, got 2.5"),
+            ("toy_model", {"seed": "3"}, 'config.toy_model.seed must be int, got "3"'),
+            ("render", {"fixed_depth_range": [0]},
+             "config.render.fixed_depth_range must be tuple[float, float] | None, got [0]"),
+            ("icp", {"max_iterations": True},
+             "config.icp.max_iterations must be int, got true"),
         ],
-        ids=["backend", "feature_dir", "pca_mode", "render-int", "render-null", "augment-int"],
+        ids=[
+            "backend", "feature_dir", "pca_mode", "render-int", "render-null", "augment-int",
+            "seed-null", "count-float", "seed-string", "range-short", "iterations-bool",
+        ],
     )
     def test_bad_value_rejected_before_any_work(self, toy, tmp_path, section, values, message):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"toy_model": TOY, section: values}))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_config(path)
         write_raw_scans(toy, tmp_path / "raw", n_subjects=1, scans_each=1)
         out = tmp_path / "pp"
@@ -211,6 +223,24 @@ class TestAugment:
         assert cmd_augment(pp, out, config) == 0
         assert json.loads((out / "manifest.json").read_text()) == {}
 
+    def test_expressions_go_to_first_scan_by_stem(self, toy, tmp_path):
+        # a path sort puts "s00_a-1.ply" before "s00_a.ply"; the subject's first scan is s00_a
+        config = load_config(overrides={
+            "toy_model": TOY,
+            "augment": {"expressions_per_subject": 1, "poses_per_scan": 0},
+        })
+        raw = tmp_path / "raw"
+        write_raw_scans(toy, raw, n_subjects=1, scans_each=2)
+        for f in raw.glob("s00_b*"):
+            f.rename(raw / f.name.replace("s00_b", "s00_a-1"))
+        pp = tmp_path / "pp"
+        assert cmd_preprocess(raw, pp, config) == 0
+        out = tmp_path / "aug"
+        assert cmd_augment(pp, out, config) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == ["s00_a_expr00.ply"]
+        assert manifest["s00_a_expr00.ply"]["source"] == "s00_a.ply"
+
     def test_rerun_bit_identical(self, toy, tmp_path):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({
@@ -247,6 +277,18 @@ class TestRender:
         out = tmp_path / "maps"
         assert cmd_render(aligned_dir, out, config, patches=True) == 0
         assert len(list(out.glob("*.pgm"))) == 1 + config.augment.patch_variants_per_scan
+
+    def test_patches_seeded_from_augment_seed(self, aligned_dir, tmp_path):
+        outputs = []
+        for master in (1, 2):
+            config = load_config(overrides={
+                "seed": master, "toy_model": TOY, "augment": {"seed": 7},
+            })
+            out = tmp_path / f"m{master}"
+            assert cmd_render(aligned_dir, out, config, patches=True) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.glob("*.pgm"))})
+        assert len(outputs[0]) == 1 + PipelineConfig().augment.patch_variants_per_scan
+        assert outputs[0] == outputs[1]
 
     def test_rerun_bit_identical(self, aligned_dir, config, tmp_path):
         out1, out2 = tmp_path / "m1", tmp_path / "m2"

@@ -141,6 +141,31 @@ class TestRenderDepth:
             a.depth[:, : 200 - k][overlap_a], b.depth[:, k:][overlap_b]
         )
 
+    def test_sums_equal_add_at_reference(self):
+        """Bitwise equal to accumulating with np.add.at, kept here as the reference."""
+        rng = np.random.default_rng(12)
+        pts = np.column_stack(
+            [rng.uniform(-50, 50, 20000), rng.uniform(-50, 50, 20000), rng.uniform(0, 80, 20000)]
+        )
+        size, radius = 16, 50.0  # about 20 points per pixel, so addition order shows
+        m = render_depth(PointCloud(pts), RenderParams(radius, size))
+
+        u = size / radius * pts[:, 0] + size / 2.0
+        v = -size / radius * pts[:, 1] + size / 2.0
+        inside = (u >= 0) & (u <= size - 1) & (v >= 0) & (v <= size - 1)
+        rows, cols, weights = bilinear_weights(u[inside], v[inside], size)
+        weight_sum = np.zeros((size, size))
+        value_sum = np.zeros((size, size))
+        flat = rows.ravel() * size + cols.ravel()
+        np.add.at(weight_sum.ravel(), flat, weights.ravel())
+        np.add.at(value_sum.ravel(), flat, (weights * pts[inside, 2][:, None]).ravel())
+        valid = weight_sum > 0
+        depth = np.zeros((size, size))
+        depth[valid] = value_sum[valid] / weight_sum[valid]
+        assert valid.sum() == size * size
+        np.testing.assert_array_equal(m.valid, valid)
+        assert m.depth.tobytes() == depth.tobytes()
+
     def test_bit_deterministic(self):
         rng = np.random.default_rng(11)
         pts = np.column_stack(

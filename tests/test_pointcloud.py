@@ -34,6 +34,16 @@ def brute_force_nearest(points, query):
     return int(np.argmin(sq))
 
 
+def shuffled_grid_ties():
+    """A shuffled 4x4x4 integer grid, and queries that tie: each cube centre is
+    equidistant from 8 grid points, each edge midpoint from 2; all distances are exact."""
+    grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), axis=-1)
+    pts = np.random.default_rng(5).permutation(grid.reshape(-1, 3))
+    corners = grid[:3, :3, :3].reshape(-1, 3)
+    offsets = [(0.5, 0.5, 0.5), (0.5, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.5)]
+    return pts, np.concatenate([corners + offset for offset in offsets])
+
+
 class TestPointCloud:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -169,6 +179,9 @@ class TestNeighborIndex:
         # and regardless of insertion order
         idx2 = NeighborIndex(pts[::-1].copy())
         assert idx2.query([0.0, 0, 0]) == 0
+        grid, queries = shuffled_grid_ties()
+        idx3 = NeighborIndex(grid)
+        assert [idx3.query(q) for q in queries] == [brute_force_nearest(grid, q) for q in queries]
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(42)
@@ -192,6 +205,9 @@ class TestNeighborIndex:
         idx = NeighborIndex(pts)
         _, got = idx.query_many(np.array([[0.0, 0, 0], [2.0, 0, 0]]))
         np.testing.assert_array_equal(got, [0, 0])
+        grid, queries = shuffled_grid_ties()
+        _, got = NeighborIndex(grid).query_many(queries)
+        np.testing.assert_array_equal(got, [brute_force_nearest(grid, q) for q in queries])
 
 
 class TestPlyIO:
@@ -347,6 +363,34 @@ class TestPlyIO:
         )
         with pytest.raises(PlyParseError, match=re.escape(message)):
             load_ply(f)
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    @pytest.mark.parametrize("list_first", [True, False], ids=["list-first", "list-last"])
+    def test_vertex_list_property_rejected(self, tmp_path, fmt, list_first):
+        xyz = ["property float x", "property float y", "property float z"]
+        tags = ["property list uchar int tags"]
+        props = tags + xyz if list_first else xyz + tags
+        header = "\n".join(["ply", f"format {fmt} 1.0", "element vertex 1", *props, "end_header\n"])
+        if fmt == "ascii":
+            body = b"2 7 8 1.0 2.0 3.0\n" if list_first else b"1.0 2.0 3.0 2 7 8\n"
+        elif list_first:
+            body = struct.pack("<Bii3f", 2, 7, 8, 1.0, 2.0, 3.0)
+        else:
+            body = struct.pack("<3fBii", 1.0, 2.0, 3.0, 2, 7, 8)
+        f = tmp_path / "tags.ply"
+        f.write_bytes(header.encode() + body)
+        with pytest.raises(PlyParseError, match="list properties on vertices are unsupported"):
+            load_ply(f)
+
+    def test_face_list_property_loads(self, tmp_path):
+        f = tmp_path / "faces.ply"
+        f.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 3\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+            "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+        )
+        np.testing.assert_array_equal(load_ply(f).points, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
     def test_bare_property_line(self, tmp_path):
         f = tmp_path / "bare.ply"

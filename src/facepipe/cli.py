@@ -74,6 +74,10 @@ class EmbeddingConfig:
             raise ValueError(f"unknown embedding backend {self.backend!r}")
         if self.backend == "external" and self.feature_dir is None:
             raise ValueError("external backend requires embedding.feature_dir")
+        if self.dimension < 1:
+            raise ValueError("embedding.dimension must be >= 1")
+        if not 0 < self.pca_variance_target <= 1:
+            raise ValueError("embedding.pca_variance_target must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -131,8 +135,10 @@ def _build(cls, data: dict, where: str):
         raise ValueError(f"unknown config keys in {where}: {sorted(unknown)}")
     types = typing.get_type_hints(cls)
     kwargs = {}
-    for name, value in data.items():
-        hint = types[name]
+    # plain values first, so a section inheriting one cannot report its error
+    sections_last = sorted(data, key=lambda name: dataclasses.is_dataclass(types[name]))
+    for name in sections_last:
+        hint, value = types[name], data[name]
         if dataclasses.is_dataclass(hint):
             value = _build(hint, value, f"{where}.{name}")
         elif not _fits(value, hint):
@@ -329,7 +335,7 @@ def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> 
 
     backend = _make_backend(config, gallery_files)
     # one sqrt-normalized feature row per map, gallery then probes; no map is kept
-    feats = np.stack([sqrt_normalize(backend.embed_file(f)) for f in gallery_files + probe_files])
+    feats = np.stack([sqrt_normalize(backend.embed(f)) for f in gallery_files + probe_files])
     gallery_feats, probe_feats = feats[: len(gallery_files)], feats[len(gallery_files) :]
     fit = gallery_feats if mode == "gallery" else feats
     pca = pca_fit_variance(fit, config.embedding.pca_variance_target, max(1, len(gallery_ids) - 1))

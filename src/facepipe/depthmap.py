@@ -100,6 +100,10 @@ class RenderParams:
             raise ValueError("crop_radius must be positive")
         if self.output_size < 2:
             raise ValueError("output_size must be >= 2")
+        if self.final_size < 2:
+            raise ValueError("final_size must be >= 2")
+        if self.median_kernel < 3 or self.median_kernel % 2 == 0:
+            raise ValueError("median_kernel must be odd and >= 3")
         r = self.fixed_depth_range
         if r is not None:
             object.__setattr__(self, "fixed_depth_range", (float(r[0]), float(r[1])))

@@ -4,10 +4,10 @@ A backend maps a normalized 224x224 depth map to a fixed-dimension vector.
 The built-in baseline projects flattened maps onto an eigen-depth-map basis;
 the external backend reads precomputed vectors keyed by the SHA-256 of the
 exported PGM bytes, which is the interchange point for any offline feature
-extractor. Both backends also embed a PGM file directly (`embed_file`)
-without building a `DepthMap`: the baseline decodes it straight into its
-feature row, as training does; the external one hashes its canonical bytes
-and takes its dimension from the first feature looked up.
+extractor. Both backends embed a PGM file (`embed(path)`) without building
+a `DepthMap`: the baseline decodes it straight into its feature row, as
+training does; the external one hashes its canonical bytes and takes its
+dimension from the first feature looked up.
 Post-processing follows the matching chain: signed square root, then PCA.
 """
 
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from facepipe.depthmap import DepthMap, pgm_bytes, pgm_depth, read_pgm
+from facepipe.depthmap import pgm_depth, read_pgm
 
 __all__ = [
     "PcaModel",
@@ -186,24 +186,17 @@ class BaselineBackend:
     def model(self) -> PcaModel:
         return self._model
 
-    def embed(self, dmap: DepthMap) -> np.ndarray:
-        _check_size(dmap.depth.shape, self._map_size)
-        return pca_transform(self._model, dmap.depth.reshape(-1))
-
-    def embed_file(self, path) -> np.ndarray:
-        """`embed(load_pgm(path))`, decoded straight to the feature row."""
+    def embed(self, path) -> np.ndarray:
+        """Features of a PGM file, decoded straight to the feature row."""
         return pca_transform(self._model, _map_row(path, self._map_size))
-
-
-def _check_size(shape, size: int, where: str = "") -> None:
-    if shape != (size, size):
-        raise ValueError(f"{where}expected {size}x{size} map, got {shape[0]}x{shape[1]}")
 
 
 def _map_row(path, size: int, out: np.ndarray | None = None) -> np.ndarray:
     """The flattened 0..255 depths of a size x size PGM, into `out` if given."""
     values, _ = read_pgm(path)
-    _check_size(values.shape, size, f"{path}: ")
+    if values.shape != (size, size):
+        h, w = values.shape
+        raise ValueError(f"{path}: expected {size}x{size} map, got {h}x{w}")
     return pgm_depth(values.reshape(-1), out=out)
 
 
@@ -222,9 +215,9 @@ def baseline_train(files, d: int, map_size: int = 224) -> BaselineBackend:
     return BaselineBackend(_pca_k(flat, d), map_size)
 
 
-def feature_hash(dmap: DepthMap) -> str:
-    """Lowercase hex SHA-256 of the map's exported PGM bytes."""
-    return hashlib.sha256(pgm_bytes(dmap)).hexdigest()
+def feature_hash(path) -> str:
+    """Lowercase hex SHA-256 of a PGM's canonical bytes; of a whole `export_pgm` file."""
+    return hashlib.sha256(read_pgm(path)[1]).hexdigest()
 
 
 def write_feature_file(values: np.ndarray, path) -> None:
@@ -263,28 +256,18 @@ class ExternalBackend:
     def dimension(self) -> int | None:
         return self._dimension
 
-    def embed(self, dmap: DepthMap) -> np.ndarray:
-        return self._lookup(feature_hash(dmap), "")
-
-    def embed_file(self, path) -> np.ndarray:
-        """Features of a PGM file, keyed on its canonical bytes; no map is decoded.
-
-        The key equals `feature_hash(load_pgm(path))`, and a file
-        `load_pgm` rejects raises the same `ValueError`.
-        """
-        _, data = read_pgm(path)
-        return self._lookup(hashlib.sha256(data).hexdigest(), f"{path}: ")
-
-    def _lookup(self, digest: str, where: str) -> np.ndarray:
-        path = self._dir / f"{digest}.fvec"
-        if not path.exists():
-            raise FeatureLookupError(f"{where}no feature file for map hash {digest}")
-        values = read_feature_file(path)
+    def embed(self, path) -> np.ndarray:
+        """Features of a PGM file, keyed on `feature_hash(path)`; no map is decoded."""
+        digest = feature_hash(path)
+        feature = self._dir / f"{digest}.fvec"
+        if not feature.exists():
+            raise FeatureLookupError(f"{path}: no feature file for map hash {digest}")
+        values = read_feature_file(feature)
         if self._dimension is None:
             self._dimension = values.shape[0]
         elif values.shape[0] != self._dimension:
             raise FeatureFormatError(
-                f"{path}: dimension {values.shape[0]} != backend dimension "
+                f"{feature}: dimension {values.shape[0]} != backend dimension "
                 f"{self._dimension}"
             )
         return values

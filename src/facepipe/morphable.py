@@ -250,16 +250,13 @@ def displacement_field(
 def transfer_expression(
     scan: PointCloud, fitted: FitResult, field: DisplacementField
 ) -> PointCloud:
-    """Move each scan point by the displacement of its nearest fitted vertex."""
+    """Move each scan point and landmark (an extra row) by its nearest fitted vertex's offset."""
     if len(field.vectors) != len(fitted.fitted_points):
         raise ValueError("field length does not match fitted vertex count")
-    index = NeighborIndex(fitted.fitted_points.points)
-    _, idx = index.query_many(scan.points)
-    moved = scan.points + field.vectors[idx]
-    landmarks = {}
-    for name, p in scan.landmarks.items():
-        landmarks[name] = p + field.vectors[index.query(p)]
-    return PointCloud(moved, landmarks)
+    points = np.vstack([scan.points, *scan.landmarks.values()])
+    _, idx = NeighborIndex(fitted.fitted_points.points).query_many(points)
+    moved = points + field.vectors[idx]
+    return PointCloud(moved[: len(scan)], dict(zip(scan.landmarks, moved[len(scan) :])))
 
 
 # ---------------------------------------------------------------------------

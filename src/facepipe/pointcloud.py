@@ -181,12 +181,8 @@ class NeighborIndex:
                 self._resolution = float(np.median(dist[:, 1]))
         return self._resolution
 
-    def query(self, p) -> int:
-        """Index of the closest stored point to p (lowest index on ties)."""
-        return int(self.query_many(np.asarray(p, dtype=np.float64).reshape(1, 3))[1][0])
-
     def query_many(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized nearest query; returns (distances, indices)."""
+        """Nearest stored point of each row, settled row by row; (distances, indices)."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         # with one stored point the second neighbour is at infinity, so never tied
         dist, idx = self._tree.query(pts, k=2)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import re
@@ -94,31 +95,45 @@ class TestConfig:
             load_config(path)
 
     @pytest.mark.parametrize(
-        "section, values, message",
+        "document, message",
         [
-            ("embedding", {"backend": "nope"}, "unknown embedding backend 'nope'"),
-            ("embedding", {"backend": "external"}, "external backend requires embedding.feature_dir"),
-            ("matching", {"pca_mode": "bogus"}, "unknown pca_mode 'bogus'"),
-            ("render", 5, "config.render must be an object"),
-            ("render", None, "config.render must be an object"),
-            ("augment", 5, "config.augment must be an object"),
-            ("seed", None, "config.seed must be int, got null"),
-            ("augment", {"poses_per_scan": 2.5},
+            ({"embedding": {"backend": "nope"}}, "unknown embedding backend 'nope'"),
+            ({"embedding": {"backend": "external"}},
+             "external backend requires embedding.feature_dir"),
+            ({"matching": {"pca_mode": "bogus"}}, "unknown pca_mode 'bogus'"),
+            ({"render": 5}, "config.render must be an object"),
+            ({"render": None}, "config.render must be an object"),
+            ({"augment": 5}, "config.augment must be an object"),
+            ({"seed": None}, "config.seed must be int, got null"),
+            ({"augment": {}, "seed": None}, "config.seed must be int, got null"),
+            ({"augment": {"seed": None}, "seed": None}, "config.seed must be int, got null"),
+            ({"augment": {"poses_per_scan": 2.5}},
              "config.augment.poses_per_scan must be int, got 2.5"),
-            ("toy_model", {"seed": "3"}, 'config.toy_model.seed must be int, got "3"'),
-            ("render", {"fixed_depth_range": [0]},
+            ({"toy_model": {"seed": "3"}}, 'config.toy_model.seed must be int, got "3"'),
+            ({"render": {"fixed_depth_range": [0]}},
              "config.render.fixed_depth_range must be tuple[float, float] | None, got [0]"),
-            ("icp", {"max_iterations": True},
+            ({"icp": {"max_iterations": True}},
              "config.icp.max_iterations must be int, got true"),
+            ({"render": {"median_kernel": 4}}, "median_kernel must be odd and >= 3"),
+            ({"render": {"median_kernel": 1}}, "median_kernel must be odd and >= 3"),
+            ({"render": {"final_size": 1}}, "final_size must be >= 2"),
+            ({"embedding": {"dimension": 0}}, "embedding.dimension must be >= 1"),
+            ({"embedding": {"pca_variance_target": 1.5}},
+             "embedding.pca_variance_target must be in (0, 1]"),
+            ({"embedding": {"pca_variance_target": 0}},
+             "embedding.pca_variance_target must be in (0, 1]"),
         ],
         ids=[
             "backend", "feature_dir", "pca_mode", "render-int", "render-null", "augment-int",
-            "seed-null", "count-float", "seed-string", "range-short", "iterations-bool",
+            "seed-null", "seed-null-after-augment", "seed-null-after-augment-seed-null",
+            "count-float", "seed-string", "range-short", "iterations-bool", "kernel-even",
+            "kernel-one", "final-size-one", "dimension-zero", "variance-above-one",
+            "variance-zero",
         ],
     )
-    def test_bad_value_rejected_before_any_work(self, toy, tmp_path, section, values, message):
+    def test_bad_value_rejected_before_any_work(self, toy, tmp_path, document, message):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"toy_model": TOY, section: values}))
+        path.write_text(json.dumps({"toy_model": TOY, **document}))
         with pytest.raises(ValueError, match=re.escape(message)):
             load_config(path)
         write_raw_scans(toy, tmp_path / "raw", n_subjects=1, scans_each=1)
@@ -353,8 +368,7 @@ class TestEvaluate:
     @staticmethod
     def _external(rendered, tmp_path, skip=()):
         """Config of the external backend over one random feature file per map."""
-        from facepipe.depthmap import load_pgm
-        from facepipe.embedding import feature_hash, write_feature_file
+        from facepipe.embedding import write_feature_file
 
         feature_dir = tmp_path / "features"
         feature_dir.mkdir()
@@ -362,7 +376,7 @@ class TestEvaluate:
         for pgm in sorted(rendered.glob("*.pgm")):
             values = rng.normal(size=64)
             if pgm.stem not in skip:
-                digest = feature_hash(load_pgm(pgm))
+                digest = hashlib.sha256(pgm.read_bytes()).hexdigest()  # sha256sum of the file
                 write_feature_file(values, feature_dir / f"{digest}.fvec")
         cfg_path = tmp_path / "ext.json"
         cfg_path.write_text(json.dumps({

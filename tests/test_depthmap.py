@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -402,8 +403,9 @@ class TestPgm:
 
 
 def check_file_entry(path, feature_dir):
-    """The external backend's file entry keys `path` as
-    feature_hash(load_pgm(path)), or rejects it with load_pgm's message.
+    """feature_hash(path) is sha256(pgm_bytes(load_pgm(path))), and the
+    external backend looks `path` up under that key; a file load_pgm
+    rejects, both reject with load_pgm's message.
 
     Returns the loaded map, or None when load_pgm rejects the file.
     """
@@ -411,13 +413,16 @@ def check_file_entry(path, feature_dir):
     try:
         dmap = load_pgm(path)
     except ValueError as exc:
-        with pytest.raises(ValueError) as info:
-            backend.embed_file(path)
-        assert str(info.value) == str(exc)
+        for entry in (feature_hash, backend.embed):
+            with pytest.raises(ValueError) as info:
+                entry(path)
+            assert str(info.value) == str(exc)
         return None
+    digest = hashlib.sha256(pgm_bytes(dmap)).hexdigest()
+    assert feature_hash(path) == digest
     stored = np.arange(3.0)
-    write_feature_file(stored, feature_dir / f"{feature_hash(dmap)}.fvec")
-    np.testing.assert_array_equal(backend.embed_file(path), stored)
+    write_feature_file(stored, feature_dir / f"{digest}.fvec")
+    np.testing.assert_array_equal(backend.embed(path), stored)
     return dmap
 
 

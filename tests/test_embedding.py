@@ -1,15 +1,15 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from facepipe.depthmap import DepthMap, export_pgm, load_pgm
+from facepipe.depthmap import DepthMap, export_pgm, load_pgm, pgm_bytes
 from facepipe.embedding import (
     ExternalBackend,
     FeatureFormatError,
     FeatureLookupError,
     baseline_train,
-    feature_hash,
     pca_fit,
     pca_fit_variance,
     pca_transform,
@@ -200,23 +200,26 @@ class TestBaselineBackend:
     def test_projection_residual_orthogonal(self, tmp_path):
         rng = np.random.default_rng(10)
         maps = random_maps(rng, 9, size=16)
-        backend = baseline_train(write_pgms(tmp_path, maps), d=4, map_size=16)
-        emb = backend.embed(maps[0])
+        files = write_pgms(tmp_path, maps)
+        backend = baseline_train(files, d=4, map_size=16)
+        emb = backend.embed(files[0])
         assert emb.shape == (4,)
 
     def test_identical_maps_identical_embeddings(self, tmp_path):
         rng = np.random.default_rng(11)
         maps = random_maps(rng, 6, size=16)
-        backend = baseline_train(write_pgms(tmp_path, maps), d=3, map_size=16)
-        a = backend.embed(maps[2])
-        b = backend.embed(DepthMap(maps[2].depth.copy(), maps[2].valid.copy()))
-        assert np.array_equal(a, b)
+        files = write_pgms(tmp_path, maps)
+        backend = baseline_train(files, d=3, map_size=16)
+        twin = tmp_path / "twin.pgm"
+        export_pgm(DepthMap(maps[2].depth.copy(), maps[2].valid.copy()), twin)
+        assert np.array_equal(backend.embed(files[2]), backend.embed(twin))
 
     def test_d1_separates_distinct_maps(self, tmp_path):
         rng = np.random.default_rng(12)
         maps = random_maps(rng, 3, size=16)
-        backend = baseline_train(write_pgms(tmp_path, maps), d=1, map_size=16)
-        assert backend.embed(maps[0]) != backend.embed(maps[1])
+        files = write_pgms(tmp_path, maps)
+        backend = baseline_train(files, d=1, map_size=16)
+        assert backend.embed(files[0]) != backend.embed(files[1])
 
     def test_insufficient_samples(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -234,23 +237,21 @@ class TestBaselineBackend:
             baseline_train(files, d=2, map_size=16)
         assert str(info.value).startswith(f"{files[3]}: ")
 
-    def test_embed_and_embed_file_share_the_size_error(self, tmp_path):
+    def test_embed_names_the_file_on_a_size_error(self, tmp_path):
         rng = np.random.default_rng(19)
         backend = baseline_train(write_pgms(tmp_path, random_maps(rng, 4, size=16)), d=2, map_size=16)
         odd = DepthMap(rng.uniform(0, 255, (8, 32)), np.ones((8, 32), bool))
         export_pgm(odd, tmp_path / "odd.pgm")
-        with pytest.raises(ValueError) as from_map:
-            backend.embed(odd)
         with pytest.raises(ValueError) as from_file:
-            backend.embed_file(tmp_path / "odd.pgm")
-        assert str(from_map.value) == "expected 16x16 map, got 8x32"
+            backend.embed(tmp_path / "odd.pgm")
         assert str(from_file.value) == f"{tmp_path / 'odd.pgm'}: expected 16x16 map, got 8x32"
 
-    def test_embed_file_bitwise_equal_to_embed_of_loaded_map(self, tmp_path):
+    def test_embed_bitwise_equal_to_transform_of_loaded_map(self, tmp_path):
         files = write_pgms(tmp_path, masked_maps(np.random.default_rng(20), 8, size=16))
         backend = baseline_train(files, d=4, map_size=16)
         for f in files:
-            assert backend.embed_file(f).tobytes() == backend.embed(load_pgm(f)).tobytes()
+            reference = pca_transform(backend.model, load_pgm(f).depth.ravel())
+            assert backend.embed(f).tobytes() == reference.tobytes()
 
     def test_unreadable_file_keeps_the_pgm_error(self, tmp_path):
         rng = np.random.default_rng(15)
@@ -293,40 +294,45 @@ class TestBaselineBackend:
 
 class TestExternalBackend:
     @staticmethod
-    def _normalized_map(rng, size=16):
-        return DepthMap(rng.uniform(0, 255, (size, size)), np.ones((size, size), bool))
+    def _normalized_pgm(rng, path, size=16):
+        """Export a random normalized map to `path`; returns the path and its key."""
+        dmap = DepthMap(rng.uniform(0, 255, (size, size)), np.ones((size, size), bool))
+        export_pgm(dmap, path)
+        return path, hashlib.sha256(pgm_bytes(dmap)).hexdigest()
 
     def test_lookup_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
-        dmap = self._normalized_map(rng)
+        pgm, digest = self._normalized_pgm(rng, tmp_path / "m.pgm")
         stored = rng.normal(size=4096)
-        write_feature_file(stored, tmp_path / f"{feature_hash(dmap)}.fvec")
+        write_feature_file(stored, tmp_path / f"{digest}.fvec")
         backend = ExternalBackend(tmp_path)
-        np.testing.assert_array_equal(backend.embed(dmap), stored)
+        np.testing.assert_array_equal(backend.embed(pgm), stored)
         assert backend.dimension == 4096
 
     def test_missing_hash_names_it(self, tmp_path):
         rng = np.random.default_rng(15)
-        dmap = self._normalized_map(rng)
+        pgm, digest = self._normalized_pgm(rng, tmp_path / "m.pgm")
         backend = ExternalBackend(tmp_path)
-        with pytest.raises(FeatureLookupError, match=feature_hash(dmap)):
-            backend.embed(dmap)
+        with pytest.raises(FeatureLookupError) as info:
+            backend.embed(pgm)
+        assert str(info.value) == f"{pgm}: no feature file for map hash {digest}"
 
     def test_corrupt_length(self, tmp_path):
         rng = np.random.default_rng(16)
-        dmap = self._normalized_map(rng)
-        path = tmp_path / f"{feature_hash(dmap)}.fvec"
+        pgm, digest = self._normalized_pgm(rng, tmp_path / "m.pgm")
+        path = tmp_path / f"{digest}.fvec"
         write_feature_file(rng.normal(size=8), path)
         path.write_bytes(path.read_bytes()[:-8])
         backend = ExternalBackend(tmp_path)
-        with pytest.raises(FeatureFormatError):
-            backend.embed(dmap)
+        with pytest.raises(FeatureFormatError, match="expected 77 bytes for 8 values, found 69"):
+            backend.embed(pgm)
 
     def test_dimension_set_by_first_lookup(self, tmp_path):
         rng = np.random.default_rng(18)
-        first, second = self._normalized_map(rng), self._normalized_map(rng)
-        write_feature_file(rng.normal(size=8), tmp_path / f"{feature_hash(first)}.fvec")
-        write_feature_file(rng.normal(size=4), tmp_path / f"{feature_hash(second)}.fvec")
+        first, first_key = self._normalized_pgm(rng, tmp_path / "a.pgm")
+        second, second_key = self._normalized_pgm(rng, tmp_path / "b.pgm")
+        write_feature_file(rng.normal(size=8), tmp_path / f"{first_key}.fvec")
+        write_feature_file(rng.normal(size=4), tmp_path / f"{second_key}.fvec")
         write_feature_file(rng.normal(size=3), tmp_path / "0.fvec")  # unused; sorts first
         backend = ExternalBackend(tmp_path)
         assert backend.dimension is None

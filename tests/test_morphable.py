@@ -14,7 +14,13 @@ from facepipe.morphable import (
     synthesize,
     transfer_expression,
 )
-from facepipe.pointcloud import PointCloud, RigidTransform, apply_transform, rotation_zyx
+from facepipe.pointcloud import (
+    NeighborIndex,
+    PointCloud,
+    RigidTransform,
+    apply_transform,
+    rotation_zyx,
+)
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +257,29 @@ class TestTransferExpression:
             j = int(np.argmin(np.sum((omega - p) ** 2, axis=1)))
             expected[i] = p + field.vectors[j]
         np.testing.assert_array_equal(out.points, expected)
+
+    @pytest.mark.parametrize("names", [("nose_tip", "chin", "left_eye"), ()],
+                             ids=["landmarks", "none"])
+    def test_landmarks_bitwise_equal_to_per_landmark_form(self, toy, fitted, names):
+        scan, result = fitted
+        rng = np.random.default_rng(7)
+        picks = rng.choice(len(scan), size=len(names), replace=False)
+        # landmarks on and near scan points: some coincide with a scan row
+        landmarks = {
+            name: scan.points[i] + (0.0 if k == 0 else rng.normal(scale=2.0, size=3))
+            for k, (name, i) in enumerate(zip(names, picks))
+        }
+        cloud = PointCloud(scan.points, landmarks)
+        field = displacement_field(result, random_expression(rng, ke=8), toy)
+        out = transfer_expression(cloud, result, field)
+        # reference: the scan points in one query, then one query per landmark
+        index = NeighborIndex(result.fitted_points.points)
+        expected = scan.points + field.vectors[index.query_many(scan.points)[1]]
+        assert out.points.tobytes() == expected.tobytes()
+        assert list(out.landmarks) == list(names)
+        for name, p in landmarks.items():
+            j = index.query_many(p.reshape(1, 3))[1][0]
+            assert out.landmarks[name].tobytes() == (p + field.vectors[j]).tobytes()
 
     def test_preserves_count_and_order(self, toy, fitted):
         scan, result = fitted

@@ -166,22 +166,28 @@ class TestCropSphere:
         np.testing.assert_array_equal(once.points, twice.points)
 
 
+def query_one(index, q):
+    """query_many on the single row q; the index it finds."""
+    return int(index.query_many(np.reshape(q, (1, 3)))[1][0])
+
+
 class TestNeighborIndex:
     def test_query_stored_point(self):
         pts = np.array([[0.0, 0, 0], [5, 0, 0], [0, 5, 0]])
         idx = NeighborIndex(pts)
-        assert idx.query([5.0, 0, 0]) == 1
+        assert query_one(idx, [5.0, 0, 0]) == 1
 
     def test_tie_prefers_lowest_index(self):
         pts = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
         idx = NeighborIndex(pts)
-        assert idx.query([0.0, 0, 0]) == 0
+        assert query_one(idx, [0.0, 0, 0]) == 0
         # and regardless of insertion order
         idx2 = NeighborIndex(pts[::-1].copy())
-        assert idx2.query([0.0, 0, 0]) == 0
+        assert query_one(idx2, [0.0, 0, 0]) == 0
         grid, queries = shuffled_grid_ties()
         idx3 = NeighborIndex(grid)
-        assert [idx3.query(q) for q in queries] == [brute_force_nearest(grid, q) for q in queries]
+        expected = [brute_force_nearest(grid, q) for q in queries]
+        assert [query_one(idx3, q) for q in queries] == expected
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(42)
@@ -189,16 +195,20 @@ class TestNeighborIndex:
         idx = NeighborIndex(pts)
         queries = rng.uniform(-12, 12, (100, 3))
         for q in queries:
-            assert idx.query(q) == brute_force_nearest(pts, q)
+            assert query_one(idx, q) == brute_force_nearest(pts, q)
 
     def test_query_many_matches_single(self):
+        # each row is settled on its own, so a batch may carry extra rows
+        # (transfer_expression appends the landmarks) without changing any
         rng = np.random.default_rng(1)
         pts = rng.uniform(-1, 1, (200, 3))
-        idx = NeighborIndex(pts)
-        queries = rng.uniform(-1, 1, (50, 3))
-        _, many = idx.query_many(queries)
-        for q, i in zip(queries, many):
-            assert i == idx.query(q)
+        grid, ties = shuffled_grid_ties()
+        for stored, queries in ((pts, rng.uniform(-1, 1, (50, 3))), (grid, ties)):
+            idx = NeighborIndex(stored)
+            dist, many = idx.query_many(queries)
+            for q, d, i in zip(queries, dist, many):
+                d1, i1 = idx.query_many(q.reshape(1, 3))
+                assert (d1[0].tobytes(), int(i1[0])) == (d.tobytes(), int(i))
 
     def test_query_many_tie_rule(self):
         pts = np.array([[1.0, 0, 0], [-1.0, 0, 0], [3.0, 0, 0]])

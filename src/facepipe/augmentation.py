@@ -12,6 +12,7 @@ from facepipe.morphable import (
     MorphableModel,
     displacement_field,
     fit,
+    nearest_vertices,
     random_expression,
     transfer_expression,
 )
@@ -82,18 +83,19 @@ def augment_subject(
 ) -> list[PointCloud]:
     """Expression-transferred variants of one preprocessed scan, plus rigid jigs.
 
-    The model is fitted once; each expression draw is transferred through
-    its displacement field. Pose variants rigidly perturb the original
-    scan. All randomness flows from plan.seed.
+    The model is fitted and its nearest vertices looked up once; each expression
+    draw is transferred through its displacement field. Pose variants rigidly
+    perturb the original scan. All randomness flows from plan.seed.
     """
     rng = np.random.default_rng(plan.seed)
     out: list[PointCloud] = []
     if plan.expressions_per_subject > 0:
         fitted = fit(model, scan, fit_config)
+        nearest = nearest_vertices(scan, fitted)
         for _ in range(plan.expressions_per_subject):
             beta = random_expression(rng, model.ke)
             field = displacement_field(fitted, beta, model)
-            out.append(transfer_expression(scan, fitted, field))
+            out.append(transfer_expression(scan, fitted, field, nearest))
     for _ in range(plan.poses_per_scan):
         out.append(apply_transform(scan, random_rigid(rng, plan.angle_bound, plan.translation_bound)))
     return out

@@ -142,20 +142,25 @@ def render_depth(cloud: PointCloud, params: RenderParams = RenderParams()) -> De
 def median_filter(dmap: DepthMap, kernel: int = 3) -> DepthMap:
     """Replace each valid pixel by the median of the valid pixels in its window.
 
-    Invalid neighbors are excluded; the validity mask is unchanged.
+    Invalid neighbors are excluded; the validity mask is unchanged. An even
+    count of valid pixels takes the mean of the middle two, as np.nanmedian.
     """
     if kernel < 3 or kernel % 2 == 0:
         raise ValueError("kernel must be odd and >= 3")
     pad = kernel // 2
-    padded = np.full(
-        (dmap.height + 2 * pad, dmap.width + 2 * pad), np.nan, dtype=np.float64
-    )
-    padded[pad:-pad, pad:-pad] = np.where(dmap.valid, dmap.depth, np.nan)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel))
-    windows = windows.reshape(dmap.height, dmap.width, -1)
-    # Only valid centers are filtered, so no window is all-NaN.
+    width = dmap.width + 2 * pad
+    # +inf on the border and on invalid pixels sorts after every valid depth.
+    padded = np.full((dmap.height + 2 * pad, width), np.inf)
+    np.copyto(padded[pad:-pad, pad:-pad], dmap.depth, where=dmap.valid)
+    # one row per valid center: the values of its window, sorted
+    span = np.arange(-pad, pad + 1)
+    offsets = (span[:, None] * width + span).ravel()
+    windows = padded.ravel()[np.flatnonzero(np.pad(dmap.valid, pad))[:, None] + offsets]
+    windows.sort(axis=1)
+    count = np.count_nonzero(windows < np.inf, axis=1)  # >= 1: the center is valid
+    flat, start = windows.ravel(), np.arange(0, windows.size, kernel * kernel)
     depth = np.zeros((dmap.height, dmap.width))
-    depth[dmap.valid] = np.nanmedian(windows[dmap.valid], axis=1)
+    depth[dmap.valid] = (flat[start + (count - 1) // 2] + flat[start + count // 2]) / 2
     return DepthMap(depth, dmap.valid)
 
 
@@ -192,23 +197,22 @@ def resize(dmap: DepthMap, target: int) -> DepthMap:
     y0 = np.minimum(src_y.astype(np.intp), dmap.height - 2)
     x0 = np.minimum(src_x.astype(np.intp), dmap.width - 2)
     fy = (src_y - y0)[:, None]
-    fx = (src_x - x0)[None, :]
+    fx = src_x - x0
+    gy, gx = 1 - fy, 1 - fx
 
     def sample(grid):
-        g00 = grid[np.ix_(y0, x0)]
-        g01 = grid[np.ix_(y0, x0 + 1)]
-        g10 = grid[np.ix_(y0 + 1, x0)]
-        g11 = grid[np.ix_(y0 + 1, x0 + 1)]
-        return (
-            g00 * (1 - fy) * (1 - fx)
-            + g01 * (1 - fy) * fx
-            + g10 * fy * (1 - fx)
-            + g11 * fy * fx
-        )
+        # g00*(1-fy)*(1-fx) + g01*(1-fy)*fx + g10*fy*(1-fx) + g11*fy*fx in this
+        # order; rows are weighted before their columns are gathered.
+        top = grid[y0] * gy
+        bot = grid[y0 + 1] * fy
+        out = top[:, x0] * gx
+        out += top[:, x0 + 1] * fx
+        out += bot[:, x0] * gx
+        out += bot[:, x0 + 1] * fx
+        return out
 
-    depth = sample(dmap.depth)
-    valid = sample(dmap.valid.astype(np.float64)) >= 0.5
-    return DepthMap(np.where(valid, depth, 0.0), valid)
+    valid = sample(dmap.valid) >= 0.5  # a bool grid weights as 0.0 and 1.0
+    return DepthMap(np.where(valid, sample(dmap.depth), 0.0), valid)
 
 
 def render_pipeline(cloud: PointCloud, params: RenderParams = RenderParams()) -> DepthMap:

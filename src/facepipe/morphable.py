@@ -27,6 +27,7 @@ __all__ = [
     "fit",
     "random_expression",
     "displacement_field",
+    "nearest_vertices",
     "transfer_expression",
     "make_toy_model",
     "save_model",
@@ -247,15 +248,23 @@ def displacement_field(
     return DisplacementField(deformed - fitted.fitted_points.points)
 
 
+def nearest_vertices(scan: PointCloud, fitted: FitResult) -> np.ndarray:
+    """Index of the fitted vertex nearest each scan point, then each landmark."""
+    points = np.vstack([scan.points, *scan.landmarks.values()])
+    return NeighborIndex(fitted.fitted_points.points).query_many(points)[1]
+
+
 def transfer_expression(
-    scan: PointCloud, fitted: FitResult, field: DisplacementField
+    scan: PointCloud, fitted: FitResult, field: DisplacementField, nearest=None
 ) -> PointCloud:
-    """Move each scan point and landmark (an extra row) by its nearest fitted vertex's offset."""
+    """Move each scan point and landmark (an extra row) by its nearest fitted vertex's
+    offset; `nearest` is `nearest_vertices(scan, fitted)`, looked up unless given."""
     if len(field.vectors) != len(fitted.fitted_points):
         raise ValueError("field length does not match fitted vertex count")
+    if nearest is None:
+        nearest = nearest_vertices(scan, fitted)
     points = np.vstack([scan.points, *scan.landmarks.values()])
-    _, idx = NeighborIndex(fitted.fitted_points.points).query_many(points)
-    moved = points + field.vectors[idx]
+    moved = points + field.vectors[nearest]
     return PointCloud(moved[: len(scan)], dict(zip(scan.landmarks, moved[len(scan) :])))
 
 

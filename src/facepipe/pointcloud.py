@@ -20,7 +20,6 @@ __all__ = [
     "apply_transform",
     "crop_sphere",
     "rotation_zyx",
-    "euler_angles_zyx",
 ]
 
 # Orthonormality / unit-determinant tolerance for rotation matrices.
@@ -120,10 +119,6 @@ class RigidTransform:
             self.rotation @ other.translation + self.translation,
         )
 
-    def inverse(self) -> "RigidTransform":
-        rt = self.rotation.T
-        return RigidTransform(rt, -rt @ self.translation)
-
 
 def rotation_zyx(theta_x: float, theta_y: float, theta_z: float) -> np.ndarray:
     """Rotation matrix Rz(theta_z) @ Ry(theta_y) @ Rx(theta_x), angles in degrees.
@@ -138,18 +133,6 @@ def rotation_zyx(theta_x: float, theta_y: float, theta_z: float) -> np.ndarray:
     ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
     rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
     return rz @ ry @ rx
-
-
-def euler_angles_zyx(rotation: np.ndarray) -> np.ndarray:
-    """Angles in degrees (theta_x, theta_y, theta_z) that rotation_zyx maps to the matrix.
-
-    Valid away from the gimbal-lock pitch of +/-90 degrees.
-    """
-    r = np.asarray(rotation, dtype=np.float64)
-    theta_y = np.arcsin(np.clip(-r[2, 0], -1.0, 1.0))
-    theta_x = np.arctan2(r[2, 1], r[2, 2])
-    theta_z = np.arctan2(r[1, 0], r[0, 0])
-    return np.rad2deg(np.array([theta_x, theta_y, theta_z]))
 
 
 class NeighborIndex:

@@ -3,8 +3,26 @@ import pytest
 
 from facepipe.augmentation import AugmentPlan, apply_patches, augment_subject, random_rigid
 from facepipe.depthmap import DepthMap
-from facepipe.morphable import ModelParams, make_toy_model, synthesize
-from facepipe.pointcloud import euler_angles_zyx
+from facepipe.morphable import (
+    ModelParams,
+    displacement_field,
+    fit,
+    make_toy_model,
+    random_expression,
+    synthesize,
+    transfer_expression,
+)
+from facepipe.pointcloud import NeighborIndex
+
+
+def euler_angles_zyx(rotation):
+    """Reference inverse of rotation_zyx: angles in degrees (theta_x, theta_y, theta_z),
+    valid away from the gimbal-lock pitch of +/-90 degrees."""
+    r = np.asarray(rotation, dtype=np.float64)
+    theta_y = np.arcsin(np.clip(-r[2, 0], -1.0, 1.0))
+    theta_x = np.arctan2(r[2, 1], r[2, 2])
+    theta_z = np.arctan2(r[1, 0], r[0, 0])
+    return np.rad2deg(np.array([theta_x, theta_y, theta_z]))
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +119,28 @@ class TestAugmentSubject:
         assert len(a) == len(b)
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.points, cb.points)
+
+    def test_one_neighbor_lookup_per_subject(self, toy, monkeypatch):
+        """The expression count adds no neighbour queries, and each variant is
+        bitwise the one a per-expression lookup in transfer_expression gives."""
+        scan = synthesize(toy, ModelParams(np.full(4, 0.1), np.zeros(6)))
+        calls = []
+        query_many = NeighborIndex.query_many
+        monkeypatch.setattr(
+            NeighborIndex, "query_many", lambda self, q: calls.append(1) or query_many(self, q)
+        )
+        counts = []
+        for expressions in (1, 4):
+            calls.clear()
+            plan = AugmentPlan(expressions_per_subject=expressions, poses_per_scan=0, seed=4)
+            out = augment_subject(scan, toy, plan)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        rng = np.random.default_rng(4)
+        fitted = fit(toy, scan)
+        for cloud in out:
+            field = displacement_field(fitted, random_expression(rng, toy.ke), toy)
+            assert cloud.points.tobytes() == transfer_expression(scan, fitted, field).points.tobytes()
 
     def test_expressions_actually_deform(self, toy):
         scan = synthesize(toy, ModelParams(np.zeros(4), np.zeros(6)))

@@ -18,6 +18,7 @@ from facepipe.depthmap import (
     pgm_bytes,
     read_pgm,
     render_depth,
+    render_pipeline,
     resize,
 )
 from facepipe.embedding import ExternalBackend, feature_hash, write_feature_file
@@ -71,6 +72,67 @@ def median_oracle(dmap, kernel):
             mid = n // 2
             out[r, c] = vals[mid] if n % 2 else 0.5 * (vals[mid - 1] + vals[mid])
     return out
+
+
+def median_reference(dmap, kernel=3):
+    """The np.nanmedian filter median_filter replaced: NaN pads the border and
+    stands in for invalid pixels."""
+    pad = kernel // 2
+    padded = np.full(
+        (dmap.height + 2 * pad, dmap.width + 2 * pad), np.nan, dtype=np.float64
+    )
+    padded[pad:-pad, pad:-pad] = np.where(dmap.valid, dmap.depth, np.nan)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel))
+    windows = windows.reshape(dmap.height, dmap.width, -1)
+    depth = np.zeros((dmap.height, dmap.width))
+    depth[dmap.valid] = np.nanmedian(windows[dmap.valid], axis=1)
+    return DepthMap(depth, dmap.valid)
+
+
+def resize_reference(dmap, target):
+    """The np.ix_ bilinear resize that resize replaced: each corner gathered whole."""
+    if target == dmap.height and target == dmap.width:
+        return dmap
+    src_y = np.arange(target) * (dmap.height - 1) / (target - 1)
+    src_x = np.arange(target) * (dmap.width - 1) / (target - 1)
+    y0 = np.minimum(src_y.astype(np.intp), dmap.height - 2)
+    x0 = np.minimum(src_x.astype(np.intp), dmap.width - 2)
+    fy = (src_y - y0)[:, None]
+    fx = (src_x - x0)[None, :]
+
+    def sample(grid):
+        g00 = grid[np.ix_(y0, x0)]
+        g01 = grid[np.ix_(y0, x0 + 1)]
+        g10 = grid[np.ix_(y0 + 1, x0)]
+        g11 = grid[np.ix_(y0 + 1, x0 + 1)]
+        return (
+            g00 * (1 - fy) * (1 - fx)
+            + g01 * (1 - fy) * fx
+            + g10 * fy * (1 - fx)
+            + g11 * fy * fx
+        )
+
+    depth = sample(dmap.depth)
+    valid = sample(dmap.valid.astype(np.float64)) >= 0.5
+    return DepthMap(np.where(valid, depth, 0.0), valid)
+
+
+# Few distinct values, so windows hold ties, and both signed zeros.
+_tied_depths = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, 7.0])
+_depths = st.one_of(_tied_depths, st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def depth_maps(draw, min_size=1, max_size=14):
+    """Maps with random masks: windows with even valid counts, single valid pixels, ties."""
+    height = draw(st.integers(min_size, max_size))
+    width = draw(st.integers(min_size, max_size))
+    cells = height * width
+    values = np.array(draw(st.lists(_depths, min_size=cells, max_size=cells)))
+    density = draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))
+    valid = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(size=cells) < density
+    depth = np.where(valid, values, 0.0)
+    return DepthMap(depth.reshape(height, width), valid.reshape(height, width))
 
 
 class TestRenderDepth:
@@ -196,14 +258,14 @@ class TestMedianFilter:
         depth[~valid] = 0.0
         m = DepthMap(depth, valid)
         got = median_filter(m)
-        np.testing.assert_allclose(got.depth, median_oracle(m, 3), atol=1e-12)
+        np.testing.assert_array_equal(got.depth, median_oracle(m, 3))
         np.testing.assert_array_equal(got.valid, valid)
 
     def test_kernel_5_matches_oracle(self):
         rng = np.random.default_rng(13)
         depth = rng.uniform(0, 50, (9, 9))
         m = DepthMap(depth, np.ones((9, 9), bool))
-        np.testing.assert_allclose(median_filter(m, 5).depth, median_oracle(m, 5), atol=1e-12)
+        np.testing.assert_array_equal(median_filter(m, 5).depth, median_oracle(m, 5))
 
     def test_invalid_regions_raise_no_warning(self):
         # windows around invalid centers are all-NaN; none may warn
@@ -223,6 +285,21 @@ class TestMedianFilter:
         m = DepthMap(np.zeros((4, 4)), np.ones((4, 4), bool))
         with pytest.raises(ValueError):
             median_filter(m, 4)
+
+    @given(dmap=depth_maps(), kernel=st.sampled_from([3, 5, 7]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_nanmedian_reference(self, dmap, kernel):
+        # equal in value: a window whose median is zero may pick either signed zero
+        got = median_filter(dmap, kernel)
+        assert np.array_equal(got.depth, median_reference(dmap, kernel).depth)
+        np.testing.assert_array_equal(got.valid, dmap.valid)
+
+    def test_even_count_takes_mean_of_middle_pair(self):
+        # center (0, 0) sees four valid pixels, 1, 2, 4 and 8: median (2 + 4) / 2
+        depth = np.array([[1.0, 2.0, 0.0], [4.0, 8.0, 0.0]])
+        m = median_filter(DepthMap(depth, depth != 0))
+        assert m.depth[0, 0] == 3.0
+        assert m.depth[1, 1] == 3.0
 
 
 class TestNormalize:
@@ -282,6 +359,32 @@ class TestResize:
         m = DepthMap(np.full((4, 4), 3.25), np.ones((4, 4), bool))
         out = resize(m, 11)
         np.testing.assert_allclose(out.depth, 3.25)
+
+    @given(dmap=depth_maps(min_size=2), target=st.integers(2, 30))
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_ix_reference(self, dmap, target):
+        got, want = resize(dmap, target), resize_reference(dmap, target)
+        np.testing.assert_array_equal(got.depth.view(np.uint64), want.depth.view(np.uint64))
+        np.testing.assert_array_equal(got.valid, want.valid)
+
+
+class TestRenderPipeline:
+    @given(seed=st.integers(0, 2**32 - 1), window=st.sampled_from([None, (0.0, 8.0)]))
+    @settings(max_examples=60, deadline=None)
+    def test_signed_zeros_never_reach_pgm_bytes(self, seed, window):
+        """Bytes equal the reference chain's when some depths are exactly +0 or -0."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        pts = np.column_stack(
+            [rng.uniform(-20, 20, n), rng.uniform(-20, 20, n), rng.uniform(0, 8, n)]
+        )
+        pts[rng.uniform(size=n) < 0.4, 2] = 0.0
+        pts[rng.uniform(size=n) < 0.3, 2] = -0.0
+        params = RenderParams(25.0, 24, 40, int(rng.choice([3, 5])), window)
+        want = render_depth(PointCloud(pts), params)
+        want = median_reference(want, params.median_kernel)
+        want = resize_reference(normalize(want, window), params.final_size)
+        assert pgm_bytes(render_pipeline(PointCloud(pts), params)) == pgm_bytes(want)
 
 
 class TestPgm:

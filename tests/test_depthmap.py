@@ -378,6 +378,7 @@ class TestRenderPipeline:
         pts = np.column_stack(
             [rng.uniform(-20, 20, n), rng.uniform(-20, 20, n), rng.uniform(0, 8, n)]
         )
+        pts[0, :2] = 0.0  # the canvas centre, so the render is never empty
         pts[rng.uniform(size=n) < 0.4, 2] = 0.0
         pts[rng.uniform(size=n) < 0.3, 2] = -0.0
         params = RenderParams(25.0, 24, 40, int(rng.choice([3, 5])), window)

@@ -255,14 +255,12 @@ def nearest_vertices(scan: PointCloud, fitted: FitResult) -> np.ndarray:
 
 
 def transfer_expression(
-    scan: PointCloud, fitted: FitResult, field: DisplacementField, nearest=None
+    scan: PointCloud, fitted: FitResult, field: DisplacementField, nearest: np.ndarray
 ) -> PointCloud:
     """Move each scan point and landmark (an extra row) by its nearest fitted vertex's
-    offset; `nearest` is `nearest_vertices(scan, fitted)`, looked up unless given."""
+    offset; `nearest` is `nearest_vertices(scan, fitted)`, shared by a fit's expressions."""
     if len(field.vectors) != len(fitted.fitted_points):
         raise ValueError("field length does not match fitted vertex count")
-    if nearest is None:
-        nearest = nearest_vertices(scan, fitted)
     points = np.vstack([scan.points, *scan.landmarks.values()])
     moved = points + field.vectors[nearest]
     return PointCloud(moved[: len(scan)], dict(zip(scan.landmarks, moved[len(scan) :])))

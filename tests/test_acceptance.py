@@ -23,6 +23,7 @@ from facepipe.morphable import (
     displacement_field,
     fit,
     make_toy_model,
+    nearest_vertices,
     random_expression,
     synthesize,
     transfer_expression,
@@ -105,7 +106,7 @@ def test_criterion_3_transfer_identity_and_oracle():
     fitted = fit(toy, scan)
 
     identity_field = displacement_field(fitted, fitted.params.beta, toy)
-    identity_out = transfer_expression(scan, fitted, identity_field)
+    identity_out = transfer_expression(scan, fitted, identity_field, nearest_vertices(scan, fitted))
     bit_exact = np.array_equal(identity_out.points, scan.points)
 
     omega = fitted.fitted_points.points
@@ -113,7 +114,7 @@ def test_criterion_3_transfer_identity_and_oracle():
     for _ in range(20):
         jitter = PointCloud(scan.points + rng.normal(scale=0.4, size=scan.points.shape))
         field = displacement_field(fitted, random_expression(rng, 10), toy)
-        out = transfer_expression(jitter, fitted, field)
+        out = transfer_expression(jitter, fitted, field, nearest_vertices(jitter, fitted))
         expected = np.empty_like(jitter.points)
         for i, p in enumerate(jitter.points):
             j = int(np.argmin(np.sum((omega - p) ** 2, axis=1)))
@@ -299,7 +300,7 @@ def benchmark_run(tmp_path_factory):
         for p in range(BENCH_PROBES_EACH):
             beta = random_expression(rng, toy.ke)
             field = displacement_field(fitted, beta, toy)
-            expressive = transfer_expression(aligned, fitted, field)
+            expressive = transfer_expression(aligned, fitted, field, nearest_vertices(aligned, fitted))
             jig = random_rigid(rng, 10.0, 10.0)  # bounded pose perturbation
             save_ply(apply_transform(expressive, jig), raw_probes / f"id{i:02d}_p{p}.ply")
 

@@ -8,6 +8,7 @@ from facepipe.morphable import (
     displacement_field,
     fit,
     make_toy_model,
+    nearest_vertices,
     random_expression,
     synthesize,
     transfer_expression,
@@ -122,7 +123,7 @@ class TestAugmentSubject:
 
     def test_one_neighbor_lookup_per_subject(self, toy, monkeypatch):
         """The expression count adds no neighbour queries, and each variant is
-        bitwise the one a per-expression lookup in transfer_expression gives."""
+        bitwise the one a fresh nearest_vertices lookup per expression gives."""
         scan = synthesize(toy, ModelParams(np.full(4, 0.1), np.zeros(6)))
         calls = []
         query_many = NeighborIndex.query_many
@@ -140,7 +141,9 @@ class TestAugmentSubject:
         fitted = fit(toy, scan)
         for cloud in out:
             field = displacement_field(fitted, random_expression(rng, toy.ke), toy)
-            assert cloud.points.tobytes() == transfer_expression(scan, fitted, field).points.tobytes()
+            assert cloud.points.tobytes() == transfer_expression(
+                scan, fitted, field, nearest_vertices(scan, fitted)
+            ).points.tobytes()
 
     def test_expressions_actually_deform(self, toy):
         scan = synthesize(toy, ModelParams(np.zeros(4), np.zeros(6)))

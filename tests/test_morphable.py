@@ -9,6 +9,7 @@ from facepipe.morphable import (
     fit,
     load_model,
     make_toy_model,
+    nearest_vertices,
     random_expression,
     save_model,
     synthesize,
@@ -225,13 +226,13 @@ class TestTransferExpression:
     def test_zero_field_is_identity(self, toy, fitted):
         scan, result = fitted
         field = DisplacementField(np.zeros((toy.n_vertices, 3)))
-        out = transfer_expression(scan, result, field)
+        out = transfer_expression(scan, result, field, nearest_vertices(scan, result))
         assert np.array_equal(out.points, scan.points)
 
     def test_identity_invariant_with_fitted_beta(self, toy, fitted):
         scan, result = fitted
         field = displacement_field(result, result.params.beta, toy)
-        out = transfer_expression(scan, result, field)
+        out = transfer_expression(scan, result, field, nearest_vertices(scan, result))
         assert np.array_equal(out.points, scan.points)
 
     def test_coincident_points_land_on_deformed_model(self, toy, fitted):
@@ -240,7 +241,7 @@ class TestTransferExpression:
         target = random_expression(rng, ke=8)
         field = displacement_field(result, target, toy)
         probe = PointCloud(result.fitted_points.points[:50].copy())
-        out = transfer_expression(probe, result, field)
+        out = transfer_expression(probe, result, field, nearest_vertices(probe, result))
         deformed = result.fitted_points.points[:50] + field.vectors[:50]
         np.testing.assert_allclose(out.points, deformed, atol=1e-12)
 
@@ -250,7 +251,7 @@ class TestTransferExpression:
         jitter = PointCloud(scan.points + rng.normal(scale=0.5, size=scan.points.shape))
         target = random_expression(rng, ke=8)
         field = displacement_field(result, target, toy)
-        out = transfer_expression(jitter, result, field)
+        out = transfer_expression(jitter, result, field, nearest_vertices(jitter, result))
         omega = result.fitted_points.points
         expected = np.empty_like(jitter.points)
         for i, p in enumerate(jitter.points):
@@ -271,7 +272,7 @@ class TestTransferExpression:
         }
         cloud = PointCloud(scan.points, landmarks)
         field = displacement_field(result, random_expression(rng, ke=8), toy)
-        out = transfer_expression(cloud, result, field)
+        out = transfer_expression(cloud, result, field, nearest_vertices(cloud, result))
         # reference: the scan points in one query, then one query per landmark
         index = NeighborIndex(result.fitted_points.points)
         expected = scan.points + field.vectors[index.query_many(scan.points)[1]]
@@ -284,6 +285,6 @@ class TestTransferExpression:
     def test_preserves_count_and_order(self, toy, fitted):
         scan, result = fitted
         field = DisplacementField(np.zeros((toy.n_vertices, 3)))
-        out = transfer_expression(scan, result, field)
+        out = transfer_expression(scan, result, field, nearest_vertices(scan, result))
         assert len(out) == len(scan)
         assert np.array_equal(out.points, scan.points)

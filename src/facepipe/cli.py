@@ -6,7 +6,7 @@ Test side: preprocess -> render -> embed -> sqrt normalize -> PCA -> match.
 Scans are PLY files named <subject>_<scan>.ply; the subject label is the
 stem up to the first underscore. Every command reads one JSON config,
 writes its resolved copy next to the outputs, and logs one line per item
-to stderr. Exit status is 0 only if every item succeeded.
+to stderr, in file order. Exit status is 0 only if every item succeeded.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from facepipe.embedding import (
 from facepipe.matching import Gallery, MatchAccountingError, cmc, roc
 from facepipe.morphable import FitConfig, MorphableModel, load_model, make_toy_model
 from facepipe.pointcloud import NeighborIndex, PointCloud, load_ply, save_ply
-from facepipe.registration import IcpParams, preprocess_with_result
+from facepipe.registration import IcpParams, NoseDetectionError, PreprocessError
+from facepipe.registration import detect_nose_tip, preprocess_with_result
 
 __all__ = [
     "PipelineConfig",
@@ -195,29 +196,29 @@ def _derived_seed(*parts) -> int:
 def _each_scan(files, output_dir, config: PipelineConfig, workers: int, one) -> int:
     """Run one(path, output_dir) on every listed scan; returns the number that failed.
 
-    A failing scan is logged by file name and does not stop the others; the
-    resolved config is written once every scan has run.
+    `one` returns the scan's summary line. Every scan's line, or its failure,
+    is logged here in file order; a failing scan does not stop the others.
+    The resolved config is written once every scan has run.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
 
-    def guarded(path: Path) -> str | None:
+    def guarded(path: Path) -> tuple[bool, str]:
         try:
-            one(path, output_dir)
+            return True, one(path, output_dir)
         except Exception as exc:  # per-item isolation; commands keep going
-            return f"{type(exc).__name__}: {exc}"
-        return None
+            return False, f"{type(exc).__name__}: {exc}"
 
-    if workers <= 1:
-        errors = [guarded(path) for path in files]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            errors = list(pool.map(guarded, files))
-    for path, error in zip(files, errors):
-        if error is not None:
-            log.error("FAILED %s: %s", path.name, error)
+    failures = 0
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for path, (ok, line) in zip(files, pool.map(guarded, files)):
+            if ok:
+                log.info("%s", line)
+            else:
+                failures += 1
+                log.error("FAILED %s: %s", path.name, line)
     _write_json(output_dir / "config.resolved.json", dataclasses.asdict(config))
-    return sum(error is not None for error in errors)
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +229,20 @@ def _each_scan(files, output_dir, config: PipelineConfig, workers: int, one) -> 
 def cmd_preprocess(input_dir, output_dir, config: PipelineConfig, workers: int = 1) -> int:
     """Align and crop every scan; returns the number of failed scans."""
     reference = config.load_reference()
+    try:
+        reference_nose = detect_nose_tip(reference)
+    except NoseDetectionError as exc:
+        raise PreprocessError(f"nose detection (reference): {exc}") from exc
     index = NeighborIndex(reference.points)
 
-    def one(path: Path, out: Path) -> None:
+    def one(path: Path, out: Path) -> str:
         aligned, icp = preprocess_with_result(
-            load_ply(path), reference, config.icp, config.render.crop_radius, index
+            load_ply(path), index, reference_nose, config.icp, config.render.crop_radius
         )
         save_ply(aligned, out / path.name)
-        log.info(
-            "preprocess %s: rmse %.4f mm, %d iterations%s",
-            path.name, icp.rmse, icp.iterations_used,
-            "" if icp.converged else " (no convergence)",
-        )
+        note = "" if icp.converged else " (no convergence)"
+        return (f"preprocess {path.name}: rmse {icp.rmse:.4f} mm, "
+                f"{icp.iterations_used} iterations{note}")
 
     return _each_scan(_inputs(input_dir, ".ply"), output_dir, config, workers, one)
 
@@ -256,11 +259,12 @@ def cmd_augment(input_dir, output_dir, config: PipelineConfig, workers: int = 1)
     subject_scans: dict[str, list[Path]] = {}
     for path in files:
         subject_scans.setdefault(_subject_of(path.stem), []).append(path)
+    positions = {path: k for scans in subject_scans.values() for k, path in enumerate(scans)}
     manifest: dict[str, dict] = {}
 
-    def one(path: Path, out: Path) -> None:
+    def one(path: Path, out: Path) -> str:
         subject = _subject_of(path.stem)
-        scan_pos = subject_scans[subject].index(path)
+        scan_pos = positions[path]
         expressions = plan.expressions_per_subject if scan_pos == 0 else 0
         seed = _derived_seed(plan.seed, subject, scan_pos)
         local_plan = dataclasses.replace(
@@ -279,7 +283,7 @@ def cmd_augment(input_dir, output_dir, config: PipelineConfig, workers: int = 1)
                 "index": counter,
                 "seed": seed,
             }
-        log.info("augment %s: %d outputs", path.name, len(clouds))
+        return f"augment {path.name}: {len(clouds)} outputs"
 
     failures = _each_scan(files, output_dir, config, workers, one)
     _write_json(Path(output_dir) / "manifest.json", manifest)
@@ -292,17 +296,16 @@ def cmd_render(
     """Render every aligned PLY to a normalized 16-bit PGM (optionally patched)."""
     plan = config.augment
 
-    def one(path: Path, out: Path) -> None:
+    def one(path: Path, out: Path) -> str:
         dmap = render_pipeline(load_ply(path), config.render)
         export_pgm(dmap, out / f"{path.stem}.pgm")
-        count = 1
-        if patches:
+        variants = plan.patch_variants_per_scan if patches else 0
+        if variants:
             rng = np.random.default_rng(_derived_seed(plan.seed, "patches", path.stem))
-            for k in range(plan.patch_variants_per_scan):
+            for k in range(variants):
                 patched = apply_patches(dmap, rng, plan.patch_count, plan.patch_size)
                 export_pgm(patched, out / f"{path.stem}_patch{k:02d}.pgm")
-                count += 1
-        log.info("render %s: %d maps", path.name, count)
+        return f"render {path.name}: {1 + variants} maps"
 
     return _each_scan(_inputs(input_dir, ".ply"), output_dir, config, workers, one)
 
@@ -387,7 +390,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument(
             "--workers", type=int, default=os.cpu_count() or 1,
-            help="parallel workers (default: number of processors)",
+            help="parallel workers, at least 1 (default: number of processors)",
         )
 
     p = sub.add_parser("preprocess", help="align and crop raw scans")
@@ -416,7 +419,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     try:
         overrides = {"seed": args.seed} if args.seed is not None else None
         config = load_config(args.config, overrides)

@@ -104,9 +104,11 @@ class RenderParams:
             raise ValueError("final_size must be >= 2")
         if self.median_kernel < 3 or self.median_kernel % 2 == 0:
             raise ValueError("median_kernel must be odd and >= 3")
-        r = self.fixed_depth_range
-        if r is not None:
-            object.__setattr__(self, "fixed_depth_range", (float(r[0]), float(r[1])))
+        if self.fixed_depth_range is not None:
+            lo, hi = map(float, self.fixed_depth_range)
+            if not (np.isfinite([lo, hi]).all() and lo < hi):
+                raise ValueError(f"fixed_depth_range must be finite with low < high, got {[lo, hi]}")
+            object.__setattr__(self, "fixed_depth_range", (lo, hi))
 
 
 def render_depth(cloud: PointCloud, params: RenderParams = RenderParams()) -> DepthMap:

@@ -112,54 +112,43 @@ def detect_nose_tip(cloud: PointCloud) -> np.ndarray:
 
 def rigid_icp(
     source: PointCloud,
-    reference: PointCloud,
-    init: RigidTransform | None = None,
+    reference: NeighborIndex,
+    init: RigidTransform = RigidTransform.identity(),
     params: IcpParams = IcpParams(),
-    reference_index: NeighborIndex | None = None,
 ) -> IcpResult:
     """Iterative closest point with median-based outlier rejection.
 
-    Alternates nearest-neighbor correspondence against the reference,
-    rejection of pairs beyond rejection_multiplier x the median distance
-    (floored at the reference sampling resolution), and a closed-form SVD
-    update. Returns the total source-to-reference transform including the
-    initial guess.
+    Alternates nearest-neighbor correspondence against the indexed
+    reference points, rejection of pairs beyond rejection_multiplier x the
+    median distance (floored at the reference sampling resolution), and a
+    closed-form SVD update. Returns the total source-to-reference transform
+    including the initial guess.
     """
-    if init is None:
-        init = RigidTransform.identity()
-    if reference_index is None:
-        reference_index = NeighborIndex(reference.points)
-
     total = init
     moved = init.apply(source.points)
-    floor = reference_index.sampling_resolution
-    history: list[float] = []
-    prev_mean = None
+    floor = reference.sampling_resolution
+    history: list[float] = []  # mean accepted distance, one per iteration
     converged = False
-    iterations = 0
 
     for _ in range(params.max_iterations):
-        iterations += 1
-        dist, idx = reference_index.query_many(moved)
+        dist, idx = reference.query_many(moved)
         keep = _accept_mask(dist, params.rejection_multiplier, floor)
         if not keep.any():
             raise IcpDivergenceError("all correspondences rejected")
-        mean_dist = float(dist[keep].mean())
-        history.append(mean_dist)
+        history.append(float(dist[keep].mean()))
 
         step = RigidTransform.procrustes(moved[keep], reference.points[idx[keep]])
         moved = step.apply(moved)
         total = step.compose(total)
 
-        if prev_mean is not None and abs(prev_mean - mean_dist) < params.convergence_eps:
+        if len(history) > 1 and abs(history[-2] - history[-1]) < params.convergence_eps:
             converged = True
             break
-        prev_mean = mean_dist
 
-    dist, _ = reference_index.query_many(moved)
+    dist, _ = reference.query_many(moved)
     keep = _accept_mask(dist, params.rejection_multiplier, floor)
     rmse = float(np.sqrt(np.mean(dist[keep] ** 2))) if keep.any() else float("inf")
-    return IcpResult(total, rmse, iterations, converged, tuple(history))
+    return IcpResult(total, rmse, len(history), converged, tuple(history))
 
 
 def _accept_mask(dist: np.ndarray, multiplier: float, floor: float) -> np.ndarray:
@@ -173,34 +162,32 @@ def _accept_mask(dist: np.ndarray, multiplier: float, floor: float) -> np.ndarra
 
 def preprocess_with_result(
     cloud: PointCloud,
-    reference: PointCloud,
+    reference: NeighborIndex,
+    reference_nose: np.ndarray,
     params: IcpParams = IcpParams(),
     crop_radius: float = 100.0,
-    reference_index: NeighborIndex | None = None,
 ) -> tuple[PointCloud, IcpResult]:
     """Nose-crop a scan and align it rigidly to the reference face.
 
-    Pipeline: detect the nose tip, keep the sphere of crop_radius (mm)
-    around it, translate the nose onto the reference nose, refine with ICP,
-    and return the aligned crop together with the ICP result.
+    The reference comes prepared once for many scans: its neighbor index
+    and its nose tip (`detect_nose_tip`). Pipeline: detect the scan's nose
+    tip, keep the sphere of crop_radius (mm) around it, translate the nose
+    onto the reference nose, refine with ICP, and return the aligned crop
+    together with the ICP result.
     """
     try:
         nose = detect_nose_tip(cloud)
     except NoseDetectionError as exc:
         raise PreprocessError(f"nose detection: {exc}") from exc
-    try:
-        ref_nose = detect_nose_tip(reference)
-    except NoseDetectionError as exc:
-        raise PreprocessError(f"nose detection (reference): {exc}") from exc
 
     try:
         cropped = crop_sphere(cloud, nose, crop_radius)
     except ValueError as exc:
         raise PreprocessError(f"crop: {exc}") from exc
 
-    init = RigidTransform(np.eye(3), ref_nose - nose)
+    init = RigidTransform(np.eye(3), reference_nose - nose)
     try:
-        result = rigid_icp(cropped, reference, init, params, reference_index)
+        result = rigid_icp(cropped, reference, init, params)
     except IcpDivergenceError as exc:
         raise PreprocessError(f"icp: {exc}") from exc
     return apply_transform(cropped, result.transform), result

@@ -61,7 +61,7 @@ def test_criterion_1_icp_recovery():
     for _ in range(100):
         t = RigidTransform(rotation_zyx(*rng.uniform(-10, 10, 3)), rng.uniform(-10, 10, 3))
         source = apply_transform(reference, t)
-        result = rigid_icp(source, reference, reference_index=index)
+        result = rigid_icp(source, index)
         err = result.transform.compose(t)
         if rotation_angle_deg(err.rotation) < 0.1 and np.linalg.norm(err.translation) < 0.1:
             recovered += 1

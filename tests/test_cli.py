@@ -122,13 +122,21 @@ class TestConfig:
              "embedding.pca_variance_target must be in (0, 1]"),
             ({"embedding": {"pca_variance_target": 0}},
              "embedding.pca_variance_target must be in (0, 1]"),
+            ({"render": {"fixed_depth_range": [100, 0]}},
+             "fixed_depth_range must be finite with low < high, got [100.0, 0.0]"),
+            ({"render": {"fixed_depth_range": [5, 5]}},
+             "fixed_depth_range must be finite with low < high, got [5.0, 5.0]"),
+            ({"render": {"fixed_depth_range": [0, float("inf")]}},
+             "fixed_depth_range must be finite with low < high, got [0.0, inf]"),
+            ({"render": {"fixed_depth_range": [float("nan"), 100]}},
+             "fixed_depth_range must be finite with low < high, got [nan, 100.0]"),
         ],
         ids=[
             "backend", "feature_dir", "pca_mode", "render-int", "render-null", "augment-int",
             "seed-null", "seed-null-after-augment", "seed-null-after-augment-seed-null",
             "count-float", "seed-string", "range-short", "iterations-bool", "kernel-even",
             "kernel-one", "final-size-one", "dimension-zero", "variance-above-one",
-            "variance-zero",
+            "variance-zero", "range-reversed", "range-empty", "range-infinite", "range-nan",
         ],
     )
     def test_bad_value_rejected_before_any_work(self, toy, tmp_path, document, message):
@@ -442,7 +450,11 @@ class TestEvaluate:
 
 
 class TestPerItemFailure:
-    """One bad scan among good ones: it alone fails, by file name, and the rest is written."""
+    """One bad scan among good ones: it alone fails, by file name, and the rest is written.
+
+    The bad scan `s00z_a` sorts between the good ones and is the first scan
+    of its own subject, so the per-item lines must come in file order.
+    """
 
     @staticmethod
     def _setup(command, toy, config, tmp_path):
@@ -451,7 +463,7 @@ class TestPerItemFailure:
         if command == "preprocess":
             # too few points for the heuristic, and no landmark to fall back on
             bad = PointCloud(np.random.default_rng(0).normal(size=(50, 3)))
-            save_ply(bad, raw / "s02_a.ply")
+            save_ply(bad, raw / "s00z_a.ply")
             return raw
         pp = tmp_path / "pp"
         assert cmd_preprocess(raw, pp, config) == 0
@@ -460,7 +472,7 @@ class TestPerItemFailure:
             bad = PointCloud(load_ply(pp / "s00_a.ply").points[:20])
         else:
             bad = PointCloud(load_ply(pp / "s00_a.ply").points + [1e4, 0.0, 0.0])
-        save_ply(bad, pp / "s02_a.ply")
+        save_ply(bad, pp / "s00z_a.ply")
         return pp
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -486,9 +498,12 @@ class TestPerItemFailure:
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="facepipe"):
             assert run(source, out, config, workers=workers) == 1
-        failed = [r.getMessage() for r in caplog.records if r.getMessage().startswith("FAILED")]
+        lines = [r.getMessage() for r in caplog.records]
+        failed = [line for line in lines if line.startswith("FAILED")]
         assert len(failed) == 1
-        assert failed[0].startswith(f"FAILED s02_a.ply: {error}: "), failed[0]
+        assert failed[0].startswith(f"FAILED s00z_a.ply: {error}: "), failed[0]
+        per_item = [line.split(" ")[1] for line in lines if line.startswith((command, "FAILED"))]
+        assert per_item == ["s00_a.ply:", "s00z_a.ply:", "s01_a.ply:"]
         expected = sorted(o.format(s=s) for s in ("s00_a", "s01_a") for o in good_outputs)
         written = sorted(p.name for p in out.iterdir() if p.suffix in (".ply", ".pgm"))
         assert written == expected
@@ -513,6 +528,32 @@ class TestMain:
         (tmp_path / "empty").mkdir()
         rc = main(["preprocess", str(tmp_path / "empty"), str(tmp_path / "out")])
         assert rc == 1
+
+    def test_reference_without_nose_fails_once_before_any_work(self, toy, tmp_path, caplog):
+        rng = np.random.default_rng(3)
+        flat = np.column_stack([rng.uniform(-50, 50, (400, 2)), np.zeros(400)])
+        flat_ply = tmp_path / "flat.ply"
+        save_ply(PointCloud(flat), flat_ply)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"toy_model": TOY, "reference_model_path": str(flat_ply)}))
+        write_raw_scans(toy, tmp_path / "raw", n_subjects=3, scans_each=1)
+        out = tmp_path / "pp"
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="facepipe"):
+            rc = main(["preprocess", str(tmp_path / "raw"), str(out), "--config", str(cfg)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert "nose detection (reference)" in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        (tmp_path / "raw").mkdir()
+        with pytest.raises(SystemExit) as info:
+            main(["preprocess", str(tmp_path / "raw"), str(tmp_path / "pp"), "--workers", workers])
+        assert info.value.code == 2
+        assert not (tmp_path / "pp").exists()
 
     def test_seed_flag_changes_augment_outputs(self, toy, tmp_path):
         cfg = tmp_path / "c.json"

@@ -30,6 +30,16 @@ def reference(toy):
     return toy.mean_cloud()
 
 
+@pytest.fixture(scope="module")
+def index(reference):
+    return NeighborIndex(reference.points)
+
+
+@pytest.fixture(scope="module")
+def reference_nose(reference):
+    return detect_nose_tip(reference)
+
+
 def rotation_angle_deg(r):
     return np.degrees(np.arccos(np.clip((np.trace(r) - 1) / 2, -1.0, 1.0)))
 
@@ -64,33 +74,32 @@ class TestDetectNoseTip:
 
 
 class TestRigidIcp:
-    def test_identity_when_source_equals_reference(self, reference):
-        result = rigid_icp(reference, reference)
+    def test_identity_when_source_equals_reference(self, reference, index):
+        result = rigid_icp(reference, index)
         assert result.rmse < 1e-9
         # arccos loses ~1e-6 deg of precision near the identity
         assert rotation_angle_deg(result.transform.rotation) < 1e-5
         assert np.linalg.norm(result.transform.translation) < 1e-9
         assert result.converged
 
-    def test_recovers_known_transform(self, reference):
+    def test_recovers_known_transform(self, reference, index):
         t = RigidTransform(rotation_zyx(0.0, 5.0, 0.0), np.array([3.0, 0.0, 0.0]))
         source = apply_transform(reference, t)
-        result = rigid_icp(source, reference)
+        result = rigid_icp(source, index)
         assert result.rmse < 1e-6
         err = result.transform.compose(t)
         assert rotation_angle_deg(err.rotation) < 1e-4
         assert np.linalg.norm(err.translation) < 1e-4
 
-    def test_monte_carlo_recovery(self, reference):
+    def test_monte_carlo_recovery(self, reference, index):
         rng = np.random.default_rng(2024)
-        index = NeighborIndex(reference.points)
         good = 0
         for _ in range(100):
             t = RigidTransform(
                 rotation_zyx(*rng.uniform(-10, 10, 3)), rng.uniform(-10, 10, 3)
             )
             source = apply_transform(reference, t)
-            result = rigid_icp(source, reference, reference_index=index)
+            result = rigid_icp(source, index)
             err = result.transform.compose(t)
             if (
                 result.rmse < 0.5
@@ -100,58 +109,55 @@ class TestRigidIcp:
                 good += 1
         assert good >= 95
 
-    def test_mean_distance_non_increasing(self, reference):
+    def test_mean_distance_non_increasing(self, reference, index):
         t = RigidTransform(rotation_zyx(6.0, -4.0, 8.0), np.array([4.0, -2.0, 6.0]))
         source = apply_transform(reference, t)
-        result = rigid_icp(source, reference)
+        result = rigid_icp(source, index)
         hist = np.array(result.mean_distance_history)
         assert (np.diff(hist) <= 1e-12).all()
 
-    def test_iteration_cap_respected(self, reference):
+    def test_iteration_cap_respected(self, reference, index):
         params = IcpParams(max_iterations=3, convergence_eps=1e-12)
         t = RigidTransform(rotation_zyx(9.0, 9.0, 9.0), np.array([8.0, 8.0, 8.0]))
         source = apply_transform(reference, t)
-        result = rigid_icp(source, reference, params=params)
+        result = rigid_icp(source, index, params=params)
         assert result.iterations_used <= 3
 
 
 class TestPreprocess:
-    def test_reference_maps_to_cropped_reference(self, reference):
-        out, _ = preprocess_with_result(reference, reference)
-        nose = detect_nose_tip(reference)
-        expected = crop_sphere(reference, nose, 100.0)
+    def test_reference_maps_to_cropped_reference(self, reference, index, reference_nose):
+        out, _ = preprocess_with_result(reference, index, reference_nose)
+        expected = crop_sphere(reference, reference_nose, 100.0)
         assert len(out) == len(expected)
         rmse = np.sqrt(np.mean(np.sum((out.points - expected.points) ** 2, axis=1)))
         assert rmse < 1e-9
 
-    def test_recovers_pitch_and_offset(self, reference):
+    def test_recovers_pitch_and_offset(self, reference, index, reference_nose):
         t = RigidTransform(rotation_zyx(8.0, 0.0, 0.0), np.array([5.0, 0.0, 0.0]))
         moved = apply_transform(reference, t)
-        out, _ = preprocess_with_result(moved, reference)
-        index = NeighborIndex(reference.points)
+        out, _ = preprocess_with_result(moved, index, reference_nose)
         dist, _ = index.query_many(out.points)
         assert np.sqrt(np.mean(dist**2)) < 0.5
 
-    def test_idempotent_within_tolerance(self, reference):
+    def test_idempotent_within_tolerance(self, reference, index, reference_nose):
         t = RigidTransform(rotation_zyx(-5.0, 3.0, 2.0), np.array([2.0, 4.0, -3.0]))
         moved = apply_transform(reference, t)
-        once, _ = preprocess_with_result(moved, reference)
-        twice, _ = preprocess_with_result(once, reference)
-        index = NeighborIndex(once.points)
-        dist, _ = index.query_many(twice.points)
+        once, _ = preprocess_with_result(moved, index, reference_nose)
+        twice, _ = preprocess_with_result(once, index, reference_nose)
+        dist, _ = NeighborIndex(once.points).query_many(twice.points)
         assert np.sqrt(np.mean(dist**2)) < 0.1
 
-    def test_error_names_failing_stage(self, reference):
+    def test_error_names_failing_stage(self, index, reference_nose):
         rng = np.random.default_rng(3)
         flat = np.column_stack([rng.uniform(-50, 50, (400, 2)), np.zeros(400)])
         with pytest.raises(PreprocessError, match="nose detection"):
-            preprocess_with_result(PointCloud(flat), reference)
+            preprocess_with_result(PointCloud(flat), index, reference_nose)
 
-    def test_crop_failure_names_stage(self, reference):
+    def test_crop_failure_names_stage(self, index, reference_nose):
         # landmark far from every point: nose detection passes, crop is empty
         rng = np.random.default_rng(4)
         cloud = PointCloud(
             rng.uniform(-40, 40, (200, 3)), {"nose_tip": [5000.0, 0.0, 0.0]}
         )
         with pytest.raises(PreprocessError, match="crop"):
-            preprocess_with_result(cloud, reference)
+            preprocess_with_result(cloud, index, reference_nose)

@@ -30,14 +30,14 @@ from facepipe.augmentation import AugmentPlan, apply_patches, augment_subject
 from facepipe.depthmap import RenderParams, export_pgm, render_pipeline
 from facepipe.embedding import (
     ExternalBackend,
+    _pca_variance,
+    _project,
     baseline_train,
-    pca_fit_variance,
-    pca_transform,
     sqrt_normalize,
 )
 from facepipe.matching import Gallery, MatchAccountingError, cmc, roc
 from facepipe.morphable import FitConfig, MorphableModel, load_model, make_toy_model
-from facepipe.pointcloud import NeighborIndex, PointCloud, load_ply, save_ply
+from facepipe.pointcloud import NeighborIndex, PointCloud, _whole_file, load_ply, save_ply
 from facepipe.registration import IcpParams, NoseDetectionError, PreprocessError
 from facepipe.registration import detect_nose_tip, preprocess_with_result
 
@@ -164,11 +164,12 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
 
 
 def _write_json(path: Path, value) -> None:
-    path.write_text(json.dumps(value, sort_keys=True, indent=2) + "\n")
+    with _whole_file(path, "w") as fh:
+        fh.write(json.dumps(value, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as fh:
+    with _whole_file(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -318,6 +319,25 @@ def _make_backend(config: PipelineConfig, gallery_files: list[Path]):
     return baseline_train(train_files, emb.dimension, config.render.final_size)
 
 
+def _pca_coded(backend, files: list[Path], n_fit: int, variance_target: float, cap: int):
+    """The post-embedding PCA, fitted on the first `n_fit` maps, and every map coded by it.
+
+    Each map's sqrt-normalized feature goes straight into its row of one
+    owned (n, d) matrix, d being the first feature's width; no map is kept.
+    The fit centres its rows in place, the other rows get the same
+    `-= mean`, and each row is projected alone. The matrix is dropped on
+    return, before matching.
+    """
+    first = sqrt_normalize(backend.embed(files[0]))
+    feats = np.empty((len(files), first.shape[0]))
+    feats[0] = first
+    for i, f in enumerate(files[1:], start=1):
+        feats[i] = sqrt_normalize(backend.embed(f))
+    pca = _pca_variance(feats[:n_fit], variance_target, cap)
+    feats[n_fit:] -= pca.mean
+    return pca, _project(pca, feats)
+
+
 def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> int:
     """Embed, normalize, project, and match probes against the gallery.
 
@@ -337,14 +357,14 @@ def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> 
     mode = config.matching.pca_mode
 
     backend = _make_backend(config, gallery_files)
-    # one sqrt-normalized feature row per map, gallery then probes; no map is kept
-    feats = np.stack([sqrt_normalize(backend.embed(f)) for f in gallery_files + probe_files])
-    gallery_feats, probe_feats = feats[: len(gallery_files)], feats[len(gallery_files) :]
-    fit = gallery_feats if mode == "gallery" else feats
-    pca = pca_fit_variance(fit, config.embedding.pca_variance_target, max(1, len(gallery_ids) - 1))
+    n_fit = len(gallery_files) if mode == "gallery" else len(gallery_files) + len(probe_files)
+    pca, coded = _pca_coded(
+        backend, gallery_files + probe_files, n_fit,
+        config.embedding.pca_variance_target, max(1, len(gallery_ids) - 1),
+    )
 
-    gallery = Gallery(zip(gallery_ids, pca_transform(pca, gallery_feats)))
-    scores = gallery.identity_distances(pca_transform(pca, probe_feats))
+    gallery = Gallery(zip(gallery_ids, coded[: len(gallery_files)]))
+    scores = gallery.identity_distances(coded[len(gallery_files) :])
     for f, row, best in zip(probe_files, scores.values, scores.values.argmin(axis=1)):
         log.info("probe %s: rank-1 %s (distance %.6f)", f.stem, scores.subjects[best], row[best])
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from facepipe.pointcloud import PointCloud
+from facepipe.pointcloud import PointCloud, _whole_file
 
 __all__ = [
     "DepthMap",
@@ -243,7 +243,8 @@ def _pgm_header(width: int, height: int) -> bytes:
 
 
 def export_pgm(dmap: DepthMap, path) -> None:
-    Path(path).write_bytes(pgm_bytes(dmap))
+    with _whole_file(path) as fh:
+        fh.write(pgm_bytes(dmap))
 
 
 # Netpbm header: "P5", then width, height and maxval as ASCII-digit tokens.

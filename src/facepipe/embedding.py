@@ -154,6 +154,11 @@ def pca_fit_variance(features, variance_target: float, cap: int) -> PcaModel:
     k is additionally capped (typically at gallery size - 1) and by the
     sample's numerical rank.
     """
+    return _pca_variance(np.array(features, dtype=np.float64), variance_target, cap)
+
+
+def _pca_variance(x: np.ndarray, variance_target: float, cap: int) -> PcaModel:
+    """`pca_fit_variance` on a matrix the caller owns; `x` is centred in place."""
     if not 0 < variance_target <= 1:
         raise ValueError("variance_target must be in (0, 1]")
 
@@ -161,7 +166,7 @@ def pca_fit_variance(features, variance_target: float, cap: int) -> PcaModel:
         cum = np.cumsum(evals) / evals.sum()
         return max(1, min(int(np.searchsorted(cum, variance_target)) + 1, cap, len(evals)))
 
-    return _pca(np.array(features, dtype=np.float64), pick_k)
+    return _pca(x, pick_k)
 
 
 def pca_transform(model: PcaModel, values: np.ndarray) -> np.ndarray:
@@ -172,7 +177,15 @@ def pca_transform(model: PcaModel, values: np.ndarray) -> np.ndarray:
             f"dimension {values.shape[-1]} does not match model dimension "
             f"{model.mean.shape[0]}"
         )
-    return np.matmul((values - model.mean)[..., None, :], model.components.T)[..., 0, :]
+    return _project(model, values - model.mean)
+
+
+def _project(model: PcaModel, centred: np.ndarray) -> np.ndarray:
+    """Centred rows onto the component rows: one matrix-vector product per row.
+
+    One gemm over the batch would sum in another order and change the bits.
+    """
+    return np.matmul(centred[..., None, :], model.components.T)[..., 0, :]
 
 
 class BaselineBackend:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "PointCloud",
@@ -146,6 +148,9 @@ class NeighborIndex:
         self._points = _as_points(points)
         if len(self._points) == 0:
             raise ValueError("cannot index an empty point list")
+        # imported here, so that only the commands that build an index pay for it
+        from scipy.spatial import cKDTree
+
         self._tree = cKDTree(self._points)
         self._resolution = None
 
@@ -216,6 +221,26 @@ _PLY_DTYPES = {
     "int": "<i4", "int32": "<i4", "uint": "<u4", "uint32": "<u4",
     "float": "<f4", "float32": "<f4", "double": "<f8", "float64": "<f8",
 }
+
+
+@contextmanager
+def _whole_file(path, mode: str = "wb", **open_args):
+    """Open a file that appears at `path` whole or not at all.
+
+    The writes go to a new temporary in the same directory, which replaces
+    `path` when the block ends cleanly and is removed when it raises. It is
+    created as `open(path, mode)` creates a file, so with the same permissions.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, mode.replace("w", "x"), **open_args)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _landmark_sidecar(path: Path) -> Path:
@@ -360,10 +385,13 @@ def save_ply(cloud: PointCloud, path) -> None:
         f"element vertex {len(cloud)}\n"
         "property float x\nproperty float y\nproperty float z\nend_header\n"
     )
-    path.write_bytes(header.encode("ascii") + cloud.points.astype("<f4").tobytes())
+    with _whole_file(path) as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(cloud.points.astype("<f4"))
     sidecar = _landmark_sidecar(path)
     if cloud.landmarks:
         payload = {k: [float(x) for x in v] for k, v in sorted(cloud.landmarks.items())}
-        sidecar.write_text(json.dumps(payload, sort_keys=True, indent=1))
+        with _whole_file(sidecar, "w") as fh:
+            fh.write(json.dumps(payload, sort_keys=True, indent=1))
     else:  # a stale sidecar would hand its landmarks to this cloud
         sidecar.unlink(missing_ok=True)

@@ -4,12 +4,16 @@ import json
 import logging
 import re
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from facepipe.cli import (
     PipelineConfig,
+    _write_csv,
+    _write_json,
     cmd_augment,
     cmd_evaluate,
     cmd_preprocess,
@@ -17,6 +21,7 @@ from facepipe.cli import (
     load_config,
     main,
 )
+from facepipe.depthmap import DepthMap, export_pgm
 from facepipe.morphable import ModelParams, make_toy_model, synthesize
 from facepipe.pointcloud import (
     PointCloud,
@@ -447,6 +452,112 @@ class TestEvaluate:
         with pytest.raises(FeatureLookupError, match=r"s02_a\.pgm: no feature file") as info:
             cmd_evaluate(rendered, rendered, ext_config, tmp_path / "r")
         assert str(info.value).startswith(str(rendered / "s02_a.pgm"))
+
+    @pytest.mark.parametrize("mode", ["union", "gallery"])
+    def test_external_evaluate_peak_memory(self, tmp_path, mode):
+        # One owned (N, D) feature matrix plus the PCA model: a list of rows,
+        # a stacked copy, a copy of the fit rows or a centred batch would each
+        # add up to N*D*8 bytes. Shaped like FRGC: one gallery and three probe
+        # maps per identity, wide features.
+        from facepipe.embedding import write_feature_file
+
+        ids, probes_each, dim = 8, 3, 4096
+        gallery, probes, features = (tmp_path / d for d in ("gallery", "probes", "features"))
+        for folder in (gallery, probes, features):
+            folder.mkdir()
+        rng = np.random.default_rng(31)
+        for s in range(ids):
+            for k in range(1 + probes_each):
+                pgm = (gallery if k == 0 else probes) / f"s{s:02d}_{k}.pgm"
+                export_pgm(DepthMap(rng.uniform(0, 255, (8, 8)), np.ones((8, 8), bool)), pgm)
+                digest = hashlib.sha256(pgm.read_bytes()).hexdigest()
+                write_feature_file(rng.uniform(0, 1, dim), features / f"{digest}.fvec")
+        cfg_path = tmp_path / "ext.json"
+        cfg_path.write_text(json.dumps({
+            "embedding": {"backend": "external", "feature_dir": str(features)},
+            "matching": {"pca_mode": mode},
+        }))
+        config = load_config(cfg_path)
+        tracemalloc.start()
+        try:
+            assert cmd_evaluate(gallery, probes, config, tmp_path / "report") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ids * (1 + probes_each) * dim * 8
+
+
+class TestWholeFiles:
+    """Each output file appears whole or not at all, with a plain write's permissions."""
+
+    @staticmethod
+    def _cloud(landmarks):
+        points = np.random.default_rng(3).normal(size=(40, 3))
+        return PointCloud(points, {"nose_tip": points[0]} if landmarks else {})
+
+    # name: (writes a file under `directory`, the name of the file it is made to fail on)
+    WRITERS = {
+        "ply": (lambda d: save_ply(TestWholeFiles._cloud(False), d / "x.ply"), "x.ply"),
+        "sidecar": (lambda d: save_ply(TestWholeFiles._cloud(True), d / "x.ply"),
+                    "x.landmarks.json"),
+        "pgm": (lambda d: export_pgm(DepthMap(np.full((6, 6), 9.0), np.ones((6, 6), bool)),
+                                     d / "x.pgm"), "x.pgm"),
+        "json": (lambda d: _write_json(d / "x.json", {"a": list(range(100))}), "x.json"),
+        "csv": (lambda d: _write_csv(d / "x.csv", ["i"], ([i] for i in range(100))), "x.csv"),
+    }
+
+    @staticmethod
+    def _fail_writes_to(monkeypatch, name):
+        """A full disk for files that will be `name`: each write stores half its data, then raises."""
+        import builtins
+
+        import facepipe.pointcloud
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def write(self, data):
+                self._fh.write(data[: len(data) // 2])
+                self._fh.flush()
+                raise OSError(28, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self._fh.__exit__(*exc)
+
+        def failing_open(path, *args, **kwargs):
+            fh = builtins.open(path, *args, **kwargs)
+            return HalfWriter(fh) if Path(path).name.startswith(f".{name}.") else fh
+
+        monkeypatch.setattr(facepipe.pointcloud, "open", failing_open, raising=False)
+
+    @pytest.mark.parametrize("kind", list(WRITERS))
+    @pytest.mark.parametrize("older", [False, True], ids=["new", "older"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, kind, older):
+        write, name = self.WRITERS[kind]
+        if older:
+            (tmp_path / name).write_bytes(b"older contents\n")
+        before = {f.name for f in tmp_path.iterdir()}
+        self._fail_writes_to(monkeypatch, name)
+        with pytest.raises(OSError, match="No space left"):
+            write(tmp_path)
+        if older:
+            assert (tmp_path / name).read_bytes() == b"older contents\n"
+        else:
+            assert not (tmp_path / name).exists()
+        # no temporary is left behind (a PLY written before its sidecar stays)
+        assert {f.name for f in tmp_path.iterdir()} - before <= ({"x.ply"} if kind == "sidecar" else set())
+
+    @pytest.mark.parametrize("kind", list(WRITERS))
+    def test_written_file_has_plain_write_permissions(self, tmp_path, kind):
+        write, name = self.WRITERS[kind]
+        write(tmp_path)
+        (tmp_path / "plain").write_bytes(b"")
+        assert (tmp_path / name).stat().st_mode == (tmp_path / "plain").stat().st_mode
+        assert not [f.name for f in tmp_path.iterdir() if f.name.startswith(".")]
 
 
 class TestPerItemFailure:

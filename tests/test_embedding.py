@@ -3,10 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facepipe.depthmap import DepthMap, export_pgm, load_pgm, pgm_bytes
 from facepipe.embedding import (
     ExternalBackend,
+    _pca_variance,
     FeatureFormatError,
     FeatureLookupError,
     baseline_train,
@@ -194,6 +197,39 @@ class TestPcaTransform:
     def test_dimension_mismatch(self, model):
         with pytest.raises(ValueError):
             pca_transform(model, np.zeros(5))
+
+
+class TestPcaBitwise:
+    """The owned fit and the row-wise projection that evaluate uses, bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12), d=st.integers(1, 40),
+           m=st.integers(2, 30))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_rows_equal_rows_alone(self, seed, n, d, m):
+        rng = np.random.default_rng(seed)
+        model = pca_fit(rng.normal(size=(m, d)), 1 + seed % min(d, m - 1))
+        values = rng.normal(size=(n, d))
+        batch = pca_transform(model, values)
+        assert batch.shape == (n, model.k)
+        for row, coded in zip(values, batch):
+            assert pca_transform(model, row.copy()).tobytes() == coded.tobytes()
+        # a 1-D input is a batch of one
+        vector = rng.normal(size=d)
+        assert pca_transform(model, vector).tobytes() == pca_transform(model, vector[None])[0].tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 24), extra=st.integers(0, 8),
+           d=st.integers(1, 40), target=st.floats(0.05, 1.0), cap=st.integers(1, 30))
+    @settings(max_examples=200, deadline=None)
+    def test_owned_variance_fit_on_leading_rows(self, seed, rows, extra, d, target, cap):
+        x = np.random.default_rng(seed).normal(size=(rows + extra, d)) + 3.0
+        reference = pca_fit_variance(x[:rows].copy(), target, cap)
+        owned = x.copy()
+        model = _pca_variance(owned[:rows], target, cap)  # a view: centred in place
+        assert model.mean.tobytes() == reference.mean.tobytes()
+        assert model.components.tobytes() == reference.components.tobytes()
+        assert model.explained_variance.tobytes() == reference.explained_variance.tobytes()
+        assert owned[:rows].tobytes() == (x[:rows] - model.mean).tobytes()
+        assert owned[rows:].tobytes() == x[rows:].tobytes()
 
 
 class TestBaselineBackend:

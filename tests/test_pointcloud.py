@@ -1,11 +1,16 @@
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import facepipe
 from facepipe.pointcloud import (
     EmptyCropError,
     NeighborIndex,
@@ -187,6 +192,22 @@ def query_one(index, q):
 
 
 class TestNeighborIndex:
+    def test_scipy_spatial_loads_with_the_first_index(self):
+        # a fresh interpreter: importing the package and its command line
+        # leaves scipy.spatial unloaded; building an index loads it
+        code = (
+            "import sys\n"
+            "import facepipe, facepipe.cli\n"
+            "before = 'scipy.spatial' in sys.modules\n"
+            "facepipe.NeighborIndex([[0.0, 0.0, 0.0]])\n"
+            "print(before, 'scipy.spatial' in sys.modules)\n"
+        )
+        src = str(Path(facepipe.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert run.stdout.split() == ["False", "True"]
+
     def test_query_stored_point(self):
         pts = np.array([[0.0, 0, 0], [5, 0, 0], [0, 5, 0]])
         idx = NeighborIndex(pts)

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from facepipe.depthmap import pgm_depth, read_pgm
+from facepipe.pointcloud import _whole_file
 
 __all__ = [
     "PcaModel",
@@ -235,7 +236,7 @@ def feature_hash(path) -> str:
 
 def write_feature_file(values: np.ndarray, path) -> None:
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    with Path(path).open("wb") as fh:
+    with _whole_file(path) as fh:
         fh.write(_FVEC_MAGIC)
         fh.write(struct.pack("<Q", values.shape[0]))
         fh.write(values.astype("<f8").tobytes())

@@ -14,7 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from facepipe.pointcloud import NeighborIndex, PointCloud, RigidTransform
+from facepipe.pointcloud import (
+    NeighborIndex,
+    PointCloud,
+    RigidTransform,
+    WarmNeighbors,
+    _whole_file,
+)
 
 __all__ = [
     "MorphableModel",
@@ -177,7 +183,7 @@ def fit(model: MorphableModel, scan: PointCloud, config: FitConfig = FitConfig()
         raise FitError(
             f"scan has {len(scan)} points; need at least {model.n_vertices // 10}"
         )
-    scan_index = NeighborIndex(scan.points)
+    nearest = WarmNeighbors(NeighborIndex(scan.points))
     alpha = np.zeros(model.ks)
     beta = np.zeros(model.ke)
     pose = RigidTransform.identity()
@@ -191,7 +197,7 @@ def fit(model: MorphableModel, scan: PointCloud, config: FitConfig = FitConfig()
         shape_flat = mean_flat + model.shape_basis @ alpha + model.expr_basis @ beta
         model_pts = shape_flat.reshape(-1, 3)
         posed = pose.apply(model_pts)
-        dist, idx = scan_index.query_many(posed)
+        dist, idx = nearest.query_many(posed)
         targets = scan.points[idx]
         rmse = float(np.sqrt(np.mean(dist**2)))
         if prev_rmse is not None and abs(prev_rmse - rmse) < config.convergence_eps:
@@ -211,7 +217,7 @@ def fit(model: MorphableModel, scan: PointCloud, config: FitConfig = FitConfig()
 
     params = ModelParams(alpha, beta)
     fitted_pts = pose.apply(synthesize(model, params).points)
-    dist, _ = scan_index.query_many(fitted_pts)
+    dist, _ = nearest.query_many(fitted_pts)
     return FitResult(
         params=params,
         pose=pose,
@@ -355,9 +361,8 @@ def make_toy_model(
 
 def save_model(model: MorphableModel, path) -> None:
     """Write the binary model file (magic, counts, float64 arrays, nose index)."""
-    path = Path(path)
     n, ks, ke = model.n_vertices, model.ks, model.ke
-    with path.open("wb") as fh:
+    with _whole_file(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<QQQ", n, ks, ke))
         fh.write(model.mean.reshape(-1).astype("<f8").tobytes())

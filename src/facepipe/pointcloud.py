@@ -15,6 +15,7 @@ __all__ = [
     "PointCloud",
     "RigidTransform",
     "NeighborIndex",
+    "WarmNeighbors",
     "PlyParseError",
     "EmptyCropError",
     "load_ply",
@@ -172,6 +173,10 @@ class NeighborIndex:
     def query_many(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nearest stored point of each row, settled row by row; (distances, indices)."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        return self._nearest_two(pts)[:2]
+
+    def _nearest_two(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """query_many's answer, and each row's distance to its second-nearest stored point."""
         # with one stored point the second neighbour is at infinity, so never tied
         dist, idx = self._tree.query(pts, k=2)
         best_d, best_i = dist[:, 0].copy(), idx[:, 0].astype(np.intp)
@@ -182,7 +187,56 @@ class NeighborIndex:
             candidates = np.sort(np.asarray(candidates, dtype=np.intp))
             sq = np.sum((self._points[candidates] - p) ** 2, axis=1)
             best_i[row] = candidates[np.argmin(sq)]
-        return best_d, best_i
+        return best_d, best_i, dist[:, 1]
+
+
+def _lengths(v: np.ndarray) -> np.ndarray:
+    """Euclidean length of each row of an (n, 3) array, summed in cKDTree's order."""
+    return np.sqrt((v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]) + v[:, 2] * v[:, 2])
+
+
+class WarmNeighbors:
+    """`index.query_many` for rows that move by small steps between calls.
+
+    Each answer equals `index.query_many(points)` bit for bit, but a row asks
+    the tree only when a bound cannot prove that its last nearest point is
+    still its unique nearest. The bound is the triangle inequality: a row
+    whose second-nearest stored point was at distance L at its last tree
+    query, and which has moved a total of D since, is farther than L - D from
+    every stored point but its nearest. If its distance d to that point is
+    below L - D, with a relative margin far above rounding, nothing ties it,
+    so the tree and the tie rule would return exactly that point and d; d is
+    summed as cKDTree sums it. Every other row, and every row after the row
+    count changes, goes through the tree. The state belongs to one sequence
+    of calls: make one per loop, never share one between threads.
+    """
+
+    # relative slack on L; the rounding in d, D and L adds up to about 1e-16 of L
+    # per call, so the bound stays sound for millions of calls
+    _MARGIN = 1e-9
+
+    def __init__(self, index: NeighborIndex):
+        self._index = index
+        self._rows = None  # the rows of the last call
+
+    def query_many(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest stored point of each row; (distances, indices) as `index.query_many`."""
+        pts = np.array(np.atleast_2d(points), dtype=np.float64)
+        if self._rows is not None and self._rows.shape == pts.shape:
+            self._moved += _lengths(pts - self._rows)
+            dist = _lengths(pts - self._index.points[self._nearest])
+            fresh = np.flatnonzero(~(dist + self._moved < self._bound))
+        else:
+            n = len(pts)
+            dist, self._nearest = np.empty(n), np.empty(n, dtype=np.intp)
+            self._bound, self._moved = np.empty(n), np.empty(n)
+            fresh = np.arange(n)
+        if fresh.size:
+            dist[fresh], self._nearest[fresh], second = self._index._nearest_two(pts[fresh])
+            self._bound[fresh] = second * (1.0 - self._MARGIN)
+            self._moved[fresh] = 0.0
+        self._rows = pts
+        return dist, self._nearest.copy()
 
 
 def apply_transform(cloud: PointCloud, transform: RigidTransform) -> PointCloud:
@@ -233,7 +287,10 @@ def _whole_file(path, mode: str = "wb", **open_args):
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
-    fh = open(tmp, mode.replace("w", "x"), **open_args)
+    try:
+        fh = open(tmp, mode.replace("w", "x"), **open_args)
+    except OSError as exc:  # name the file asked for, not the temporary
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with fh:
             yield fh
@@ -385,13 +442,15 @@ def save_ply(cloud: PointCloud, path) -> None:
         f"element vertex {len(cloud)}\n"
         "property float x\nproperty float y\nproperty float z\nend_header\n"
     )
+    sidecar = _landmark_sidecar(path)
+    # the sidecar is settled while the new cloud is still a temporary, so a
+    # failure on either leaves the older pair as it was
     with _whole_file(path) as fh:
         fh.write(header.encode("ascii"))
         fh.write(cloud.points.astype("<f4"))
-    sidecar = _landmark_sidecar(path)
-    if cloud.landmarks:
-        payload = {k: [float(x) for x in v] for k, v in sorted(cloud.landmarks.items())}
-        with _whole_file(sidecar, "w") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=1))
-    else:  # a stale sidecar would hand its landmarks to this cloud
-        sidecar.unlink(missing_ok=True)
+        if cloud.landmarks:
+            payload = {k: [float(x) for x in v] for k, v in sorted(cloud.landmarks.items())}
+            with _whole_file(sidecar, "w") as side:
+                side.write(json.dumps(payload, sort_keys=True, indent=1))
+        else:  # a stale sidecar would hand its landmarks to this cloud
+            sidecar.unlink(missing_ok=True)

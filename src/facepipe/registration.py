@@ -10,6 +10,7 @@ from facepipe.pointcloud import (
     NeighborIndex,
     PointCloud,
     RigidTransform,
+    WarmNeighbors,
     apply_transform,
     crop_sphere,
 )
@@ -126,12 +127,13 @@ def rigid_icp(
     """
     total = init
     moved = init.apply(source.points)
+    nearest = WarmNeighbors(reference)
     floor = reference.sampling_resolution
     history: list[float] = []  # mean accepted distance, one per iteration
     converged = False
 
     for _ in range(params.max_iterations):
-        dist, idx = reference.query_many(moved)
+        dist, idx = nearest.query_many(moved)
         keep = _accept_mask(dist, params.rejection_multiplier, floor)
         if not keep.any():
             raise IcpDivergenceError("all correspondences rejected")
@@ -145,7 +147,7 @@ def rigid_icp(
             converged = True
             break
 
-    dist, _ = reference.query_many(moved)
+    dist, _ = nearest.query_many(moved)
     keep = _accept_mask(dist, params.rejection_multiplier, floor)
     rmse = float(np.sqrt(np.mean(dist[keep] ** 2))) if keep.any() else float("inf")
     return IcpResult(total, rmse, len(history), converged, tuple(history))

@@ -22,7 +22,8 @@ from facepipe.cli import (
     main,
 )
 from facepipe.depthmap import DepthMap, export_pgm
-from facepipe.morphable import ModelParams, make_toy_model, synthesize
+from facepipe.embedding import write_feature_file
+from facepipe.morphable import ModelParams, make_toy_model, save_model, synthesize
 from facepipe.pointcloud import (
     PointCloud,
     RigidTransform,
@@ -381,8 +382,6 @@ class TestEvaluate:
     @staticmethod
     def _external(rendered, tmp_path, skip=()):
         """Config of the external backend over one random feature file per map."""
-        from facepipe.embedding import write_feature_file
-
         feature_dir = tmp_path / "features"
         feature_dir.mkdir()
         rng = np.random.default_rng(0)
@@ -459,8 +458,6 @@ class TestEvaluate:
         # a stacked copy, a copy of the fit rows or a centred batch would each
         # add up to N*D*8 bytes. Shaped like FRGC: one gallery and three probe
         # maps per identity, wide features.
-        from facepipe.embedding import write_feature_file
-
         ids, probes_each, dim = 8, 3, 4096
         gallery, probes, features = (tmp_path / d for d in ("gallery", "probes", "features"))
         for folder in (gallery, probes, features):
@@ -504,6 +501,9 @@ class TestWholeFiles:
                                      d / "x.pgm"), "x.pgm"),
         "json": (lambda d: _write_json(d / "x.json", {"a": list(range(100))}), "x.json"),
         "csv": (lambda d: _write_csv(d / "x.csv", ["i"], ([i] for i in range(100))), "x.csv"),
+        "features": (lambda d: write_feature_file(np.arange(100.0), d / "x.fvec"), "x.fvec"),
+        "model": (lambda d: save_model(make_toy_model(n_vertices=50, ks=1, ke=1), d / "x.mlmm"),
+                  "x.mlmm"),
     }
 
     @staticmethod
@@ -548,8 +548,32 @@ class TestWholeFiles:
             assert (tmp_path / name).read_bytes() == b"older contents\n"
         else:
             assert not (tmp_path / name).exists()
-        # no temporary is left behind (a PLY written before its sidecar stays)
-        assert {f.name for f in tmp_path.iterdir()} - before <= ({"x.ply"} if kind == "sidecar" else set())
+        # no temporary is left behind, and a failed sidecar takes its new PLY with it
+        assert {f.name for f in tmp_path.iterdir()} - before == set()
+
+    @pytest.mark.parametrize(
+        "kind, failing", [("sidecar", "x.ply"), ("sidecar", "x.landmarks.json"), ("ply", "x.ply")]
+    )
+    def test_failed_write_keeps_the_older_pair(self, tmp_path, monkeypatch, kind, failing):
+        write, _ = self.WRITERS[kind]
+        pair = {"x.ply": b"older cloud\n", "x.landmarks.json": b"older landmarks\n"}
+        for name, contents in pair.items():
+            (tmp_path / name).write_bytes(contents)
+        self._fail_writes_to(monkeypatch, failing)
+        with pytest.raises(OSError, match="No space left"):
+            write(tmp_path)
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == pair
+
+    @pytest.mark.parametrize("kind", list(WRITERS))
+    def test_failed_create_names_the_file(self, tmp_path, kind):
+        write, name = self.WRITERS[kind]
+        missing = tmp_path / "missing"
+        with pytest.raises(FileNotFoundError) as caught:
+            write(missing)
+        # a cloud is created before its sidecar
+        first = missing / ("x.ply" if kind == "sidecar" else name)
+        assert caught.value.filename == str(first)
+        assert str(first) in str(caught.value) and ".tmp" not in str(caught.value)
 
     @pytest.mark.parametrize("kind", list(WRITERS))
     def test_written_file_has_plain_write_permissions(self, tmp_path, kind):

@@ -185,6 +185,29 @@ class TestFit:
         assert err < 0.2
         assert result.residual_rmse < 1e-2
 
+    def test_equals_fresh_queries_every_iteration(self, toy, monkeypatch):
+        # an index answers query_many afresh: the warm-started fit must equal it bitwise
+        import facepipe.morphable
+
+        rng = np.random.default_rng(8)
+        scans = []
+        for _ in range(3):
+            scan = synthesize(toy, ModelParams(rng.normal(size=5), random_expression(rng, ke=8)))
+            t = RigidTransform(rotation_zyx(*rng.uniform(-3, 3, 3)), rng.uniform(-2, 2, 3))
+            noise = rng.normal(size=scan.points.shape) * 0.3
+            scans.append(PointCloud(t.apply(scan.points) + noise))
+        warm = [fit(toy, scan) for scan in scans]
+        monkeypatch.setattr(facepipe.morphable, "WarmNeighbors", lambda index: index)
+        for got, scan in zip(warm, scans):
+            want = fit(toy, scan)
+            for a, b in ((got.params.alpha, want.params.alpha), (got.params.beta, want.params.beta),
+                         (got.pose.rotation, want.pose.rotation),
+                         (got.pose.translation, want.pose.translation),
+                         (got.fitted_points.points, want.fitted_points.points)):
+                assert a.tobytes() == b.tobytes()
+            assert (got.residual_rmse, got.converged, got.iterations_used) == (
+                want.residual_rmse, want.converged, want.iterations_used)
+
     def test_too_few_points(self, toy):
         with pytest.raises(FitError):
             fit(toy, PointCloud(toy.mean[:10]))

@@ -17,6 +17,8 @@ from facepipe.pointcloud import (
     PlyParseError,
     PointCloud,
     RigidTransform,
+    WarmNeighbors,
+    _lengths,
     apply_transform,
     crop_sphere,
     load_ply,
@@ -254,6 +256,86 @@ class TestNeighborIndex:
         grid, queries = shuffled_grid_ties()
         _, got = NeighborIndex(grid).query_many(queries)
         np.testing.assert_array_equal(got, [brute_force_nearest(grid, q) for q in queries])
+
+
+def same_answer(got, want):
+    """Two (distances, indices) answers are equal, distances bit for bit."""
+    return (np.array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+            and np.array_equal(got[1], want[1]))
+
+
+# stored points: an integer grid (exact ties), duplicates, one point, or floats
+stored_sets = st.sampled_from(["grid", "duplicates", "one", "floats"])
+# one step of a row sequence: a random move of this size, a snap back onto
+# half-integers, or new rows in a new count
+moves = st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.3, 5.0, "snap", "resize"])
+
+
+class TestWarmNeighbors:
+    @given(stored=stored_sets, steps=st.lists(moves, min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_every_answer_equals_a_fresh_query(self, stored, steps, seed):
+        rng = np.random.default_rng(seed)
+        if stored == "grid":
+            pts = rng.permutation(np.stack(np.meshgrid(*[np.arange(3.0)] * 3), -1).reshape(-1, 3))
+        elif stored == "duplicates":
+            base = rng.integers(-2, 3, (12, 3)).astype(float)
+            pts = np.vstack([base, base[rng.integers(0, 12, 6)]])
+        elif stored == "one":
+            pts = rng.normal(size=(1, 3))
+        else:
+            pts = rng.normal(size=(60, 3))
+        index = NeighborIndex(pts)
+        warm = WarmNeighbors(index)
+        # rows on half-integers: tied between grid points
+        rows = rng.integers(-1, 4, (int(rng.integers(1, 30)), 3)) * 0.5
+        assert same_answer(warm.query_many(rows), index.query_many(rows))
+        for step in steps:
+            if step == "resize":
+                rows = rng.integers(-1, 4, (int(rng.integers(1, 30)), 3)) * 0.5
+            elif step == "snap":  # back onto exact ties
+                rows = np.round(rows * 2.0) / 2.0
+            else:
+                rows = rows + rng.normal(size=rows.shape) * step
+            assert same_answer(warm.query_many(rows), index.query_many(rows))
+
+    def test_distance_summed_as_the_tree_sums_it(self):
+        from scipy.spatial import cKDTree
+
+        rng = np.random.default_rng(11)
+        for scale in (1e-3, 1.0, 50.0, 1e4):
+            stored = rng.normal(size=(2000, 3)) * scale
+            rows = rng.normal(size=(100_000, 3)) * scale
+            dist, idx = cKDTree(stored).query(rows)
+            mine = _lengths(rows - stored[idx])
+            np.testing.assert_array_equal(mine.view(np.uint64), dist.view(np.uint64))
+
+    def test_unmoved_rows_query_no_row(self):
+        rng = np.random.default_rng(4)
+        index = NeighborIndex(rng.normal(size=(500, 3)))
+        rows = rng.normal(size=(200, 3))
+        tree_rows = []  # rows each call sends to the k-d tree
+        nearest_two = index._nearest_two
+        index._nearest_two = lambda pts: tree_rows.append(len(pts)) or nearest_two(pts)
+        warm = WarmNeighbors(index)
+        first = warm.query_many(rows)
+        assert same_answer(warm.query_many(rows.copy()), first)
+        assert tree_rows == [200]
+        # a small move keeps most rows off the tree, a new row count sends all
+        warm.query_many(rows + 1e-4)
+        assert tree_rows[-1] < 20
+        warm.query_many(rows[:150])
+        assert tree_rows[-1] == 150
+
+    def test_rows_are_copied(self):
+        # the caller may move its array in place; the move from 1 to 5.5 still counts
+        index = NeighborIndex(np.array([[0.0, 0, 0], [10.0, 0, 0]]))
+        warm = WarmNeighbors(index)
+        rows = np.array([[1.0, 0, 0]])
+        warm.query_many(rows)
+        rows += [4.5, 0, 0]
+        assert warm.query_many(rows)[1].tolist() == [1]
 
 
 class TestPlyIO:

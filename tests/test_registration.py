@@ -12,8 +12,10 @@ from facepipe.pointcloud import (
 )
 from facepipe.registration import (
     IcpParams,
+    IcpResult,
     NoseDetectionError,
     PreprocessError,
+    _accept_mask,
     detect_nose_tip,
     preprocess_with_result,
     rigid_icp,
@@ -42,6 +44,29 @@ def reference_nose(reference):
 
 def rotation_angle_deg(r):
     return np.degrees(np.arccos(np.clip((np.trace(r) - 1) / 2, -1.0, 1.0)))
+
+
+def icp_reference(source, reference, init, params):
+    """rigid_icp with a fresh `query_many` for every correspondence search."""
+    total = init
+    moved = init.apply(source.points)
+    floor = reference.sampling_resolution
+    history = []
+    converged = False
+    for _ in range(params.max_iterations):
+        dist, idx = reference.query_many(moved)
+        keep = _accept_mask(dist, params.rejection_multiplier, floor)
+        history.append(float(dist[keep].mean()))
+        step = RigidTransform.procrustes(moved[keep], reference.points[idx[keep]])
+        moved = step.apply(moved)
+        total = step.compose(total)
+        if len(history) > 1 and abs(history[-2] - history[-1]) < params.convergence_eps:
+            converged = True
+            break
+    dist, _ = reference.query_many(moved)
+    keep = _accept_mask(dist, params.rejection_multiplier, floor)
+    rmse = float(np.sqrt(np.mean(dist[keep] ** 2)))
+    return IcpResult(total, rmse, len(history), converged, tuple(history))
 
 
 class TestDetectNoseTip:
@@ -115,6 +140,26 @@ class TestRigidIcp:
         result = rigid_icp(source, index)
         hist = np.array(result.mean_distance_history)
         assert (np.diff(hist) <= 1e-12).all()
+
+    def test_equals_fresh_queries_every_iteration(self, reference, index):
+        # the warm-started correspondences change no bit of the result
+        rng = np.random.default_rng(31)
+        for k in range(12):
+            t = RigidTransform(rotation_zyx(*rng.uniform(-12, 12, 3)), rng.uniform(-10, 10, 3))
+            source = PointCloud(t.apply(reference.points[rng.permutation(len(reference))[:900]]))
+            # noisy rows, and integer rows that tie between reference points
+            points = source.points + rng.normal(size=source.points.shape) * 0.2
+            if k % 3 == 2:
+                points = np.round(points)
+            source = PointCloud(points)
+            params = IcpParams(max_iterations=3) if k % 4 == 3 else IcpParams()
+            got = rigid_icp(source, index, params=params)
+            want = icp_reference(source, index, RigidTransform.identity(), params)
+            assert got.transform.rotation.tobytes() == want.transform.rotation.tobytes()
+            assert got.transform.translation.tobytes() == want.transform.translation.tobytes()
+            assert got.mean_distance_history == want.mean_distance_history
+            assert (got.rmse, got.iterations_used, got.converged) == (
+                want.rmse, want.iterations_used, want.converged)
 
     def test_iteration_cap_respected(self, reference, index):
         params = IcpParams(max_iterations=3, convergence_eps=1e-12)

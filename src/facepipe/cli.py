@@ -30,9 +30,9 @@ from facepipe.augmentation import AugmentPlan, apply_patches, augment_subject
 from facepipe.depthmap import RenderParams, export_pgm, render_pipeline
 from facepipe.embedding import (
     ExternalBackend,
-    _pca_variance,
-    _project,
     baseline_train,
+    pca_fit_variance,
+    pca_transform,
     sqrt_normalize,
 )
 from facepipe.matching import Gallery, MatchAccountingError, cmc, roc
@@ -333,18 +333,16 @@ def _pca_coded(backend, files: list[Path], n_fit: int, variance_target: float, c
     feats[0] = first
     for i, f in enumerate(files[1:], start=1):
         feats[i] = sqrt_normalize(backend.embed(f))
-    pca = _pca_variance(feats[:n_fit], variance_target, cap)
+    pca = pca_fit_variance(feats[:n_fit], variance_target, cap)
     feats[n_fit:] -= pca.mean
-    return pca, _project(pca, feats)
+    return pca, pca_transform(pca, feats)
 
 
 def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> int:
     """Embed, normalize, project, and match probes against the gallery.
 
-    Writes cmc.csv, roc.csv, and summary.json under report_dir.
+    Writes cmc.csv, roc.csv, and summary.json under report_dir, made once scoring is done.
     """
-    report_dir = Path(report_dir)
-    report_dir.mkdir(parents=True, exist_ok=True)
     gallery_files = _inputs(gallery_dir, ".pgm")
     probe_files = _inputs(probe_dir, ".pgm")
 
@@ -373,6 +371,8 @@ def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> 
     roc_curve = roc(scores.values[own], scores.values[~own])
 
     cmc_rows = ((r, repr(float(acc))) for r, acc in enumerate(curve, start=1))
+    report_dir = Path(report_dir)
+    report_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(report_dir / "cmc.csv", ["rank", "accuracy"], cmc_rows)
     roc_rows = ((repr(float(far)), repr(float(vr))) for far, vr in roc_curve)
     _write_csv(report_dir / "roc.csv", ["far", "vr"], roc_rows)

@@ -92,20 +92,17 @@ class PcaModel:
         return self.components.shape[0]
 
 
-def _pca(x: np.ndarray, pick_k) -> PcaModel:
+def _pca(xc: np.ndarray, pick_k) -> PcaModel:
     """Top-k principal axes, k = pick_k(eigenvalues up to numerical rank, desc).
 
-    `x` is a float64 matrix the caller owns; it is centred in place. Uses
-    the Gram-matrix route when there are fewer samples than dimensions,
-    which keeps flattened-image PCA tractable. Only the k kept components
-    are mapped back to feature space and sign-fixed.
+    `xc` has passed `_owned_shape` and is centred in place. Uses the
+    Gram-matrix route when there are fewer samples than dimensions, which
+    keeps flattened-image PCA tractable. Only the k kept components are
+    mapped back to feature space and sign-fixed.
     """
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("need at least two feature vectors")
-    n, d = x.shape
-    mean = x.mean(axis=0)
-    xc = x
-    xc -= mean  # in place: the same bits as x - mean
+    n, d = xc.shape
+    mean = xc.mean(axis=0)
+    xc -= mean  # in place: the same bits as a centred copy
     gram = n <= d
     evals, evecs = np.linalg.eigh((xc @ xc.T if gram else xc.T @ xc) / (n - 1))
     order = np.argsort(evals)[::-1]
@@ -136,56 +133,55 @@ def _pca(x: np.ndarray, pick_k) -> PcaModel:
     return PcaModel(mean, comps, evals[:k])
 
 
-def pca_fit(features, k: int) -> PcaModel:
-    """Top-k principal axes of the sample covariance, deterministic signs."""
-    return _pca_k(np.array(features, dtype=np.float64), k)
+def _owned_shape(x) -> tuple[int, int]:
+    """Shape of a fit's input, once it is a writable float64 matrix of two or more rows."""
+    if not isinstance(x, np.ndarray) or x.dtype != np.float64:
+        got = getattr(x, "dtype", type(x).__name__)
+        raise TypeError(f"PCA fits centre a float64 ndarray in place, got {got}")
+    if not x.flags.writeable:
+        raise ValueError("PCA fits centre their input in place, got a read-only array")
+    if x.ndim != 2 or x.shape[0] < 2:
+        raise ValueError("need at least two feature vectors")
+    return x.shape
 
 
-def _pca_k(x: np.ndarray, k: int) -> PcaModel:
-    """`pca_fit` on a matrix the caller owns; `x` is centred in place."""
-    n, d = x.shape
+def pca_fit(x: np.ndarray, k: int) -> PcaModel:
+    """Top-k principal axes, deterministic signs, of a float64 (n, d) `x` it centres in place."""
+    n, d = _owned_shape(x)
     if k < 1 or k > min(d, n - 1):
         raise ValueError(f"k={k} out of range for {n} samples of dimension {d}")
     return _pca(x, lambda evals: k)
 
 
-def pca_fit_variance(features, variance_target: float, cap: int) -> PcaModel:
+def pca_fit_variance(x: np.ndarray, variance_target: float, cap: int) -> PcaModel:
     """Smallest k whose cumulative explained variance reaches the target.
 
     k is additionally capped (typically at gallery size - 1) and by the
-    sample's numerical rank.
+    sample's numerical rank. Centres `x` in place, as `pca_fit` does.
     """
-    return _pca_variance(np.array(features, dtype=np.float64), variance_target, cap)
-
-
-def _pca_variance(x: np.ndarray, variance_target: float, cap: int) -> PcaModel:
-    """`pca_fit_variance` on a matrix the caller owns; `x` is centred in place."""
     if not 0 < variance_target <= 1:
         raise ValueError("variance_target must be in (0, 1]")
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+    _owned_shape(x)
 
     def pick_k(evals):
         cum = np.cumsum(evals) / evals.sum()
-        return max(1, min(int(np.searchsorted(cum, variance_target)) + 1, cap, len(evals)))
+        return min(int(np.searchsorted(cum, variance_target)) + 1, cap, len(evals))
 
     return _pca(x, pick_k)
 
 
-def pca_transform(model: PcaModel, values: np.ndarray) -> np.ndarray:
-    """Project (v - mean) onto the component rows; each row of a batch alone."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[-1] != model.mean.shape[0]:
-        raise ValueError(
-            f"dimension {values.shape[-1]} does not match model dimension "
-            f"{model.mean.shape[0]}"
-        )
-    return _project(model, values - model.mean)
+def pca_transform(model: PcaModel, centred: np.ndarray) -> np.ndarray:
+    """Rows already centred on `model.mean` onto the component rows.
 
-
-def _project(model: PcaModel, centred: np.ndarray) -> np.ndarray:
-    """Centred rows onto the component rows: one matrix-vector product per row.
-
-    One gemm over the batch would sum in another order and change the bits.
+    One matrix-vector product per row: one gemm over the batch would sum
+    in another order and change the bits.
     """
+    centred = np.asarray(centred, dtype=np.float64)
+    d = model.mean.shape[0]
+    if centred.shape[-1] != d:
+        raise ValueError(f"dimension {centred.shape[-1]} does not match model dimension {d}")
     return np.matmul(centred[..., None, :], model.components.T)[..., 0, :]
 
 
@@ -202,7 +198,9 @@ class BaselineBackend:
 
     def embed(self, path) -> np.ndarray:
         """Features of a PGM file, decoded straight to the feature row."""
-        return pca_transform(self._model, _map_row(path, self._map_size))
+        row = _map_row(path, self._map_size)
+        row -= self._model.mean  # a fresh row: the same bits as row - mean
+        return pca_transform(self._model, row)
 
 
 def _map_row(path, size: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -226,7 +224,7 @@ def baseline_train(files, d: int, map_size: int = 224) -> BaselineBackend:
     flat = np.empty((len(files), map_size * map_size))
     for row, path in zip(flat, files):
         _map_row(path, map_size, out=row)
-    return BaselineBackend(_pca_k(flat, d), map_size)
+    return BaselineBackend(pca_fit(flat, d), map_size)
 
 
 def feature_hash(path) -> str:

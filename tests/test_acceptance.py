@@ -210,7 +210,7 @@ def test_criterion_6_feature_chain():
 
     rng = np.random.default_rng(12)
     x = rng.normal(size=(20, 8)) @ np.diag(rng.uniform(0.5, 4, 8))
-    model = pca_fit(x, 6)
+    model = pca_fit(x.copy(), 6)
     xc = x - x.mean(axis=0)
     evals, evecs = np.linalg.eigh(xc.T @ xc / 19)
     order = np.argsort(evals)[::-1]

@@ -371,6 +371,7 @@ class TestEvaluate:
 
         with pytest.raises(MatchAccountingError, match="s99_x"):
             cmd_evaluate(rendered, probe_dir, config, tmp_path / "r")
+        assert not (tmp_path / "r").exists()
 
     def test_deterministic_report(self, rendered, config, tmp_path):
         r1, r2 = tmp_path / "r1", tmp_path / "r2"
@@ -443,6 +444,7 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="expected 224x224 map, got 8x8") as info:
             cmd_evaluate(rendered, probe_dir, config, tmp_path / "r")
         assert str(info.value).startswith(f"{odd}: ")
+        assert not (tmp_path / "r").exists()
 
     def test_external_backend_missing_feature(self, rendered, tmp_path):
         from facepipe.embedding import FeatureLookupError
@@ -451,6 +453,7 @@ class TestEvaluate:
         with pytest.raises(FeatureLookupError, match=r"s02_a\.pgm: no feature file") as info:
             cmd_evaluate(rendered, rendered, ext_config, tmp_path / "r")
         assert str(info.value).startswith(str(rendered / "s02_a.pgm"))
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("mode", ["union", "gallery"])
     def test_external_evaluate_peak_memory(self, tmp_path, mode):
@@ -663,6 +666,16 @@ class TestMain:
         (tmp_path / "empty").mkdir()
         rc = main(["preprocess", str(tmp_path / "empty"), str(tmp_path / "out")])
         assert rc == 1
+
+    def test_failed_evaluate_makes_no_report_dir(self, tmp_path):
+        for folder in ("gallery", "probes"):
+            (tmp_path / folder).mkdir()
+        probe = DepthMap(np.full((8, 8), 9.0), np.ones((8, 8), bool))
+        export_pgm(probe, tmp_path / "probes" / "s00_a.pgm")
+        report = tmp_path / "nested" / "report"
+        rc = main(["evaluate", str(tmp_path / "gallery"), str(tmp_path / "probes"), str(report)])
+        assert rc == 1
+        assert not (tmp_path / "nested").exists()
 
     def test_reference_without_nose_fails_once_before_any_work(self, toy, tmp_path, caplog):
         rng = np.random.default_rng(3)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from facepipe.depthmap import DepthMap, export_pgm, load_pgm, pgm_bytes
 from facepipe.embedding import (
     ExternalBackend,
-    _pca_variance,
     FeatureFormatError,
     FeatureLookupError,
     baseline_train,
@@ -29,6 +28,21 @@ def eigensolver_oracle(x):
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     return evals[order], evecs[:, order]
+
+
+def fit_copy(features, k):
+    """`pca_fit` of a private float64 copy: `features` may be a list or shared."""
+    return pca_fit(np.array(features, dtype=np.float64), k)
+
+
+def fit_variance_copy(features, variance_target, cap):
+    """`pca_fit_variance` of a private float64 copy."""
+    return pca_fit_variance(np.array(features, dtype=np.float64), variance_target, cap)
+
+
+def transform_raw(model, values):
+    """`pca_transform` of rows not yet centred: of `values - model.mean`."""
+    return pca_transform(model, np.asarray(values, dtype=np.float64) - model.mean)
 
 
 def random_maps(rng, n, size=224):
@@ -94,7 +108,7 @@ class TestPcaFit:
     def test_matches_dense_eigensolver(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(20, 8)) @ np.diag(rng.uniform(0.5, 3, 8))
-        model = pca_fit(x, 5)
+        model = fit_copy(x, 5)
         evals, evecs = eigensolver_oracle(x)
         np.testing.assert_allclose(model.explained_variance, evals[:5], atol=1e-8)
         for i in range(5):
@@ -104,7 +118,7 @@ class TestPcaFit:
     def test_gram_route_matches_covariance_route(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(10, 40))  # n < d: Gram path
-        model = pca_fit(x, 6)
+        model = fit_copy(x, 6)
         evals, evecs = eigensolver_oracle(x)
         np.testing.assert_allclose(model.explained_variance, evals[:6], atol=1e-8)
         for i in range(6):
@@ -114,30 +128,49 @@ class TestPcaFit:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(15, 6))
         total = ((x - x.mean(0)) ** 2).sum() / (len(x) - 1)
-        model = pca_fit(x, 5)
+        model = fit_copy(x, 5)
         assert model.explained_variance.sum() <= total + 1e-9
-        full = pca_fit(x, 5 if 5 == min(6, 14) else min(6, 14))
+        full = fit_copy(x, 5 if 5 == min(6, 14) else min(6, 14))
         assert full.explained_variance.sum() <= total + 1e-9
 
     @pytest.mark.parametrize("shape", [(12, 40), (40, 6)], ids=["gram", "covariance"])
     def test_top_k_rows_bitwise_equal_to_full_fit(self, shape):
         x = np.random.default_rng(8).normal(size=shape)
-        full = pca_fit(x, min(shape[0] - 1, shape[1]))
+        full = fit_copy(x, min(shape[0] - 1, shape[1]))
         for k in (1, 3, full.k):
-            top = pca_fit(x, k)
+            top = fit_copy(x, k)
             assert top.components.tobytes() == full.components[:k].tobytes()
             assert top.explained_variance.tobytes() == full.explained_variance[:k].tobytes()
-            capped = pca_fit_variance(x, 1.0, cap=k)
+            capped = fit_variance_copy(x, 1.0, cap=k)
             assert capped.components.tobytes() == top.components.tobytes()
 
     @pytest.mark.parametrize("shape", [(12, 40), (40, 6)], ids=["gram", "covariance"])
-    def test_fit_leaves_the_input_unchanged(self, shape):
-        x = np.random.default_rng(10).normal(size=shape) + 4.0
-        before = x.tobytes()
-        pca_fit(x, 3)
-        assert x.tobytes() == before
-        pca_fit_variance(x, 0.9, cap=5)
-        assert x.tobytes() == before
+    def test_fit_centres_the_input_in_place(self, shape):
+        original = np.random.default_rng(10).normal(size=shape) + 4.0
+        for fit in (lambda x: pca_fit(x, 3), lambda x: pca_fit_variance(x, 0.9, cap=5)):
+            x = original.copy()
+            model = fit(x)
+            assert x.tobytes() == (original - model.mean).tobytes()
+
+    @pytest.mark.parametrize("kind", ["list", "float32", "read-only"])
+    def test_input_it_cannot_centre_is_rejected_unchanged(self, kind):
+        x = np.random.default_rng(11).normal(size=(6, 4)) + 4.0
+        if kind == "list":
+            x = x.tolist()
+        elif kind == "float32":
+            x = x.astype(np.float32)
+        else:
+            x.setflags(write=False)
+        before = np.array(x)
+        for fit in (lambda: pca_fit(x, 2), lambda: pca_fit_variance(x, 0.9, cap=3)):
+            with pytest.raises(ValueError if kind == "read-only" else TypeError):
+                fit()
+            assert np.array(x).tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one(self, cap):
+        with pytest.raises(ValueError, match=f"cap must be at least 1, got {cap}"):
+            pca_fit_variance(np.random.default_rng(12).normal(size=(6, 4)), 0.9, cap)
 
     def test_k_above_numerical_rank(self):
         x = np.repeat(np.random.default_rng(9).normal(size=(4, 10)), 3, axis=0)
@@ -155,11 +188,11 @@ class TestPcaFit:
     def test_variance_target_selection(self):
         rng = np.random.default_rng(6)
         base = rng.normal(size=(30, 5)) @ np.diag([10.0, 5.0, 1.0, 0.1, 0.01])
-        model = pca_fit_variance(base, 0.95, cap=10)
+        model = fit_variance_copy(base, 0.95, cap=10)
         cum = np.cumsum(model.explained_variance)
         evals, _ = eigensolver_oracle(base)
         assert cum[-1] / evals.sum() >= 0.95
-        smaller = pca_fit_variance(base, 0.95, cap=model.k - 1)
+        smaller = fit_variance_copy(base, 0.95, cap=model.k - 1)
         assert smaller.k == model.k - 1
 
 
@@ -170,11 +203,11 @@ class TestPcaTransform:
         return pca_fit(rng.normal(size=(25, 9)), 4)
 
     def test_mean_maps_to_zero(self, model):
-        np.testing.assert_allclose(pca_transform(model, model.mean), 0.0, atol=1e-12)
+        np.testing.assert_allclose(transform_raw(model, model.mean), 0.0, atol=1e-12)
 
     def test_component_maps_to_unit_vector(self, model):
         for i in range(model.k):
-            out = pca_transform(model, model.mean + model.components[i])
+            out = transform_raw(model, model.mean + model.components[i])
             expected = np.zeros(model.k)
             expected[i] = 1.0
             np.testing.assert_allclose(out, expected, atol=1e-10)
@@ -182,7 +215,7 @@ class TestPcaTransform:
     def test_reconstruction_residual_orthogonal_to_span(self, model):
         rng = np.random.default_rng(8)
         v = rng.normal(size=9)
-        coded = pca_transform(model, v)
+        coded = transform_raw(model, v)
         recon = model.mean + coded @ model.components
         residual = v - recon
         np.testing.assert_allclose(model.components @ residual, 0.0, atol=1e-10)
@@ -190,8 +223,8 @@ class TestPcaTransform:
     def test_training_set_centered(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(18, 6)) + 5.0
-        model = pca_fit(x, 3)
-        coded = pca_transform(model, x)
+        model = fit_copy(x, 3)
+        coded = transform_raw(model, x)
         np.testing.assert_allclose(coded.mean(axis=0), 0.0, atol=1e-8)
 
     def test_dimension_mismatch(self, model):
@@ -200,7 +233,7 @@ class TestPcaTransform:
 
 
 class TestPcaBitwise:
-    """The owned fit and the row-wise projection that evaluate uses, bit for bit."""
+    """The in-place fit and the row-wise projection that evaluate uses, bit for bit."""
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12), d=st.integers(1, 40),
            m=st.integers(2, 30))
@@ -222,9 +255,9 @@ class TestPcaBitwise:
     @settings(max_examples=200, deadline=None)
     def test_owned_variance_fit_on_leading_rows(self, seed, rows, extra, d, target, cap):
         x = np.random.default_rng(seed).normal(size=(rows + extra, d)) + 3.0
-        reference = pca_fit_variance(x[:rows].copy(), target, cap)
+        reference = fit_variance_copy(x[:rows], target, cap)
         owned = x.copy()
-        model = _pca_variance(owned[:rows], target, cap)  # a view: centred in place
+        model = pca_fit_variance(owned[:rows], target, cap)  # a view: centred in place
         assert model.mean.tobytes() == reference.mean.tobytes()
         assert model.components.tobytes() == reference.components.tobytes()
         assert model.explained_variance.tobytes() == reference.explained_variance.tobytes()
@@ -286,7 +319,7 @@ class TestBaselineBackend:
         files = write_pgms(tmp_path, masked_maps(np.random.default_rng(20), 8, size=16))
         backend = baseline_train(files, d=4, map_size=16)
         for f in files:
-            reference = pca_transform(backend.model, load_pgm(f).depth.ravel())
+            reference = transform_raw(backend.model, load_pgm(f).depth.ravel())
             assert backend.embed(f).tobytes() == reference.tobytes()
 
     def test_unreadable_file_keeps_the_pgm_error(self, tmp_path):

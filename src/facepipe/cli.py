@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import typing
@@ -116,7 +117,11 @@ class PipelineConfig:
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a config field's type hint; a bool is not a number."""
+    """Whether a JSON value fits a config field's type hint.
+
+    A bool is not a number, and a float field takes only numbers that are
+    finite as floats: no NaN, no infinity, no integer beyond float range.
+    """
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:  # a fixed-length tuple arrives as a JSON list
         fixed = isinstance(value, (list, tuple)) and len(value) == len(args)
@@ -124,7 +129,12 @@ def _fits(value, hint) -> bool:
     if args:  # X | None
         return any(_fits(value, a) for a in args)
     kinds = (int, float) if hint is float else hint
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        return False
+    try:
+        return hint is not float or math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _build(cls, data: dict, where: str):

@@ -83,9 +83,12 @@ class RigidTransform:
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if np.abs(r.T @ r - np.eye(3)).max() > _ROTATION_TOL:
+        if not (np.isfinite(r).all() and np.isfinite(t).all()):
+            raise ValueError("rotation and translation must be finite")
+        # "not within" rather than "beyond", so that a NaN from an overflow fails too
+        if not np.abs(r.T @ r - np.eye(3)).max() <= _ROTATION_TOL:
             raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > _ROTATION_TOL:
+        if not abs(np.linalg.det(r) - 1.0) <= _ROTATION_TOL:
             raise ValueError("rotation determinant is not +1")
         r.setflags(write=False)
         t.setflags(write=False)
@@ -426,12 +429,16 @@ def load_ply(path) -> PointCloud:
         )
         raise PlyParseError(f"{path}: non-finite coordinate ({where})")
 
-    landmarks = {}
     sidecar = _landmark_sidecar(path)
-    if sidecar.exists():
-        landmarks = {k: np.asarray(v, dtype=np.float64)
-                     for k, v in json.loads(sidecar.read_text()).items()}
-    return PointCloud(pts, landmarks)
+    if not sidecar.exists():
+        return PointCloud(pts)
+    try:
+        landmarks = json.loads(sidecar.read_text())
+        if not isinstance(landmarks, dict):
+            raise TypeError(f"expected an object, got {type(landmarks).__name__}")
+        return PointCloud(pts, landmarks)
+    except (TypeError, ValueError) as exc:  # bad JSON, or a landmark that is not 3 finite numbers
+        raise PlyParseError(f"{sidecar}: malformed landmark sidecar: {exc}") from None
 
 
 def save_ply(cloud: PointCloud, path) -> None:

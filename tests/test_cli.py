@@ -133,9 +133,22 @@ class TestConfig:
             ({"render": {"fixed_depth_range": [5, 5]}},
              "fixed_depth_range must be finite with low < high, got [5.0, 5.0]"),
             ({"render": {"fixed_depth_range": [0, float("inf")]}},
-             "fixed_depth_range must be finite with low < high, got [0.0, inf]"),
+             "config.render.fixed_depth_range must be tuple[float, float] | None, "
+             "got [0, Infinity]"),
             ({"render": {"fixed_depth_range": [float("nan"), 100]}},
-             "fixed_depth_range must be finite with low < high, got [nan, 100.0]"),
+             "config.render.fixed_depth_range must be tuple[float, float] | None, "
+             "got [NaN, 100]"),
+            ({"icp": {"rejection_multiplier": float("nan")}},
+             "config.icp.rejection_multiplier must be float, got NaN"),
+            ({"render": {"crop_radius": float("nan")}},
+             "config.render.crop_radius must be float, got NaN"),
+            ({"augment": {"angle_bound": float("nan")}},
+             "config.augment.angle_bound must be float, got NaN"),
+            ({"fit": {"ridge": float("-inf")}}, "config.fit.ridge must be float, got -Infinity"),
+            ({"augment": {"translation_bound": float("inf")}},
+             "config.augment.translation_bound must be float, got Infinity"),
+            ({"render": {"crop_radius": 10**400}},
+             "config.render.crop_radius must be float, got 10000000000"),
         ],
         ids=[
             "backend", "feature_dir", "pca_mode", "render-int", "render-null", "augment-int",
@@ -143,6 +156,8 @@ class TestConfig:
             "count-float", "seed-string", "range-short", "iterations-bool", "kernel-even",
             "kernel-one", "final-size-one", "dimension-zero", "variance-above-one",
             "variance-zero", "range-reversed", "range-empty", "range-infinite", "range-nan",
+            "multiplier-nan", "radius-nan", "angle-nan", "ridge-minus-infinity",
+            "translation-infinity", "radius-beyond-float",
         ],
     )
     def test_bad_value_rejected_before_any_work(self, toy, tmp_path, document, message):
@@ -287,6 +302,25 @@ class TestAugment:
         assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
         for f1 in sorted(out1.glob("*.ply")):
             assert f1.read_bytes() == (out2 / f1.name).read_bytes()
+
+    def test_saved_model_path_gives_the_toy_model_outputs(self, toy, tmp_path):
+        model_file = tmp_path / "toy.mlmm"
+        save_model(toy, model_file)
+        plan = {"expressions_per_subject": 1, "poses_per_scan": 1}
+        by_toy = load_config(overrides={"toy_model": TOY, "augment": plan})
+        by_path = load_config(overrides={"morphable_model_path": str(model_file), "augment": plan})
+        write_raw_scans(toy, tmp_path / "raw", n_subjects=1, scans_each=1)
+        pp = tmp_path / "pp"
+        assert cmd_preprocess(tmp_path / "raw", pp, by_toy) == 0
+        out_toy, out_path = tmp_path / "a-toy", tmp_path / "a-path"
+        assert cmd_augment(pp, out_toy, by_toy) == 0
+        assert cmd_augment(pp, out_path, by_path) == 0
+        # every output but the resolved config, which names the model file
+        names = sorted(p.name for p in out_toy.iterdir() if p.name != "config.resolved.json")
+        assert names == ["manifest.json", "s00_a_expr00.ply", "s00_a_pose00.ply"]
+        assert names == sorted(p.name for p in out_path.iterdir() if p.name != "config.resolved.json")
+        for name in names:
+            assert (out_path / name).read_bytes() == (out_toy / name).read_bytes(), name
 
 
 class TestRender:
@@ -660,6 +694,23 @@ class TestMain:
             "--config", str(cfg), "--workers", "2",
         ])
         assert rc == 0
+        assert (tmp_path / "pp" / "s00_a.ply").exists()
+
+    def test_failed_scan_exits_1_and_counts_the_failures(self, toy, tmp_path, caplog):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"toy_model": TOY}))
+        raw = tmp_path / "raw"
+        write_raw_scans(toy, raw, n_subjects=1, scans_each=1)
+        # too few points for the nose heuristic, and no landmark to fall back on
+        save_ply(PointCloud(np.random.default_rng(0).normal(size=(50, 3))), raw / "s00z_a.ply")
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="facepipe"):
+            rc = main(["preprocess", str(raw), str(tmp_path / "pp"), "--config", str(cfg)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 2
+        assert errors[0].startswith("FAILED s00z_a.ply: PreprocessError: ")
+        assert errors[1] == "1 item(s) failed"
         assert (tmp_path / "pp" / "s00_a.ply").exists()
 
     def test_empty_input_nonzero_exit(self, tmp_path):

@@ -86,6 +86,22 @@ class TestRigidTransform:
         with pytest.raises(ValueError):
             RigidTransform(np.eye(3) * 2.0, np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "rotation, translation",
+        [
+            (np.full((3, 3), np.nan), np.zeros(3)),
+            (np.diag([np.nan, 1.0, 1.0]), np.zeros(3)),
+            (np.diag([np.inf, 1.0, 1.0]), np.zeros(3)),
+            (np.eye(3), [np.nan, 0.0, 0.0]),
+            (np.eye(3), [0.0, -np.inf, 0.0]),
+        ],
+        ids=["nan-rotation", "one-nan-entry", "infinite-entry", "nan-translation",
+             "infinite-translation"],
+    )
+    def test_rejects_non_finite(self, rotation, translation):
+        with pytest.raises(ValueError, match="^rotation and translation must be finite$"):
+            RigidTransform(rotation, translation)
+
     def test_rejects_reflection(self):
         with pytest.raises(ValueError):
             RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
@@ -415,6 +431,45 @@ class TestPlyIO:
             "property float x\nproperty float y\nproperty float z\nend_header\n"
         )
         with pytest.raises(PlyParseError, match="zero"):
+            load_ply(f)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[[1, 2, 3]]",
+            '{"nose_tip": [1, 2]}',
+            '{"nose_tip": [1, 2',
+            '{"nose_tip": [NaN, 0, 0]}',
+            '{"nose_tip": {"x": 1}}',
+        ],
+        ids=["list", "two-numbers", "bad-json", "nan", "object-value"],
+    )
+    def test_malformed_sidecar_names_it(self, tmp_path, text):
+        save_ply(PointCloud(np.zeros((3, 3)), {"nose_tip": [1.0, 2.0, 3.0]}), tmp_path / "x.ply")
+        sidecar = tmp_path / "x.landmarks.json"
+        sidecar.write_text(text)
+        with pytest.raises(PlyParseError, match=f"^{re.escape(str(sidecar))}: malformed landmark"):
+            load_ply(tmp_path / "x.ply")
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("ply\nformat binary_little_endian 1.0\nelement face 1\n"
+             "property list uchar int vertex_indices\nelement vertex 1\n"
+             "property float x\nproperty float y\nproperty float z\nend_header\n",
+             "binary files must declare the vertex element first"),
+            ("ply\nformat binary_little_endian 1.0\nelement face 1\n"
+             "property list uchar int vertex_indices\nend_header\n",
+             "no vertex element in header"),
+            ("ply\nformat binary_little_endian 1.0\n" + "comment x\n" * 600,
+             "runaway header (line 501)"),
+        ],
+        ids=["vertex-not-first", "no-vertex", "runaway"],
+    )
+    def test_binary_header_errors(self, tmp_path, header, message):
+        f = tmp_path / "bad.ply"
+        f.write_bytes(header.encode() + struct.pack("<3f", 1.0, 2.0, 3.0))
+        with pytest.raises(PlyParseError, match=re.escape(message)):
             load_ply(f)
 
     def test_malformed_header(self, tmp_path):

@@ -87,6 +87,15 @@ class TestDetectNoseTip:
         truth = t.apply(toy.mean[toy.nose_index].reshape(1, 3))[0]
         assert np.linalg.norm(estimate - truth) < 10.0
 
+    def test_depth_sign_turned_toward_the_nose(self, toy):
+        # The face mirrored through the origin has bit for bit the same
+        # covariance, so the same depth axis: only the bulge test can turn
+        # the depth sign toward its nose, which now points the other way.
+        face = detect_nose_tip(PointCloud(toy.mean))
+        mirrored = detect_nose_tip(PointCloud(-toy.mean))
+        np.testing.assert_array_equal(mirrored, -face)
+        assert np.linalg.norm(mirrored + toy.mean[toy.nose_index]) < 10.0
+
     def test_planar_cloud_fails(self):
         rng = np.random.default_rng(0)
         pts = np.column_stack([rng.uniform(-50, 50, (500, 2)), np.zeros(500)])

@@ -40,10 +40,11 @@ class AugmentPlan:
             self.patch_count,
             self.patch_size,
         )
-        if any(c < 0 for c in counts):
+        # each check is written so that NaN fails it
+        if not all(c >= 0 for c in counts):
             raise ValueError("counts must be non-negative")
-        if self.angle_bound <= 0 or self.translation_bound <= 0:
-            raise ValueError("bounds must be positive")
+        if not (0 < self.angle_bound < np.inf and 0 < self.translation_bound < np.inf):
+            raise ValueError("bounds must be positive and finite")
 
 
 def random_rigid(
@@ -80,22 +81,22 @@ def augment_subject(
     model: MorphableModel,
     plan: AugmentPlan,
     fit_config: FitConfig = FitConfig(),
-) -> list[PointCloud]:
-    """Expression-transferred variants of one preprocessed scan, plus rigid jigs.
+) -> tuple[list[PointCloud], list[PointCloud]]:
+    """(expressions, poses): expression-transferred variants of one scan, and rigid jigs of it.
 
     The model is fitted and its nearest vertices looked up once; each expression
     draw is transferred through its displacement field. Pose variants rigidly
     perturb the original scan. All randomness flows from plan.seed.
     """
     rng = np.random.default_rng(plan.seed)
-    out: list[PointCloud] = []
+    expressions, poses = [], []
     if plan.expressions_per_subject > 0:
         fitted = fit(model, scan, fit_config)
         nearest = nearest_vertices(scan, fitted)
         for _ in range(plan.expressions_per_subject):
             beta = random_expression(rng, model.ke)
             field = displacement_field(fitted, beta, model)
-            out.append(transfer_expression(scan, fitted, field, nearest))
+            expressions.append(transfer_expression(scan, fitted, field, nearest))
     for _ in range(plan.poses_per_scan):
-        out.append(apply_transform(scan, random_rigid(rng, plan.angle_bound, plan.translation_bound)))
-    return out
+        poses.append(apply_transform(scan, random_rigid(rng, plan.angle_bound, plan.translation_bound)))
+    return expressions, poses

@@ -276,25 +276,24 @@ def cmd_augment(input_dir, output_dir, config: PipelineConfig, workers: int = 1)
     def one(path: Path, out: Path) -> str:
         subject = _subject_of(path.stem)
         scan_pos = positions[path]
-        expressions = plan.expressions_per_subject if scan_pos == 0 else 0
+        n_expressions = plan.expressions_per_subject if scan_pos == 0 else 0
         seed = _derived_seed(plan.seed, subject, scan_pos)
         local_plan = dataclasses.replace(
-            plan, expressions_per_subject=expressions, seed=seed
+            plan, expressions_per_subject=n_expressions, seed=seed
         )
-        clouds = augment_subject(load_ply(path), model, local_plan, config.fit)
-        for k, cloud in enumerate(clouds):
-            kind = "expression" if k < expressions else "pose"
-            counter = k if k < expressions else k - expressions
-            name = f"{path.stem}_{'expr' if kind == 'expression' else 'pose'}{counter:02d}.ply"
-            save_ply(cloud, out / name)
-            manifest[name] = {
-                "source": path.name,
-                "subject": subject,
-                "kind": kind,
-                "index": counter,
-                "seed": seed,
-            }
-        return f"augment {path.name}: {len(clouds)} outputs"
+        expressions, poses = augment_subject(load_ply(path), model, local_plan, config.fit)
+        for kind, tag, clouds in (("expression", "expr", expressions), ("pose", "pose", poses)):
+            for counter, cloud in enumerate(clouds):
+                name = f"{path.stem}_{tag}{counter:02d}.ply"
+                save_ply(cloud, out / name)
+                manifest[name] = {
+                    "source": path.name,
+                    "subject": subject,
+                    "kind": kind,
+                    "index": counter,
+                    "seed": seed,
+                }
+        return f"augment {path.name}: {len(expressions) + len(poses)} outputs"
 
     failures = _each_scan(files, output_dir, config, workers, one)
     _write_json(Path(output_dir) / "manifest.json", manifest)
@@ -414,36 +413,29 @@ def _parser() -> argparse.ArgumentParser:
         prog="facepipe", description="3D face identification pipeline"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    commands = [
+        ("preprocess", "align and crop raw scans", "input_dir output_dir",
+         lambda a, config: cmd_preprocess(a.input_dir, a.output_dir, config, a.workers)),
+        ("augment", "generate expression and pose variants", "input_dir output_dir",
+         lambda a, config: cmd_augment(a.input_dir, a.output_dir, config, a.workers)),
+        ("render", "render aligned scans to depth-map PGMs", "input_dir output_dir",
+         lambda a, config: cmd_render(a.input_dir, a.output_dir, config, a.patches, a.workers)),
+        ("evaluate", "match probe maps against a gallery", "gallery_dir probe_dir report_dir",
+         lambda a, config: cmd_evaluate(a.gallery_dir, a.probe_dir, config, a.report_dir)),
+    ]
+    for name, help_text, directories, run in commands:
+        p = sub.add_parser(name, help=help_text)
+        for directory in directories.split():
+            p.add_argument(directory, type=Path)
+        if name == "render":
+            p.add_argument("--patches", action="store_true", help="also write patched variants")
         p.add_argument("--config", type=Path, default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument(
             "--workers", type=int, default=os.cpu_count() or 1,
             help="parallel workers, at least 1 (default: number of processors)",
         )
-
-    p = sub.add_parser("preprocess", help="align and crop raw scans")
-    p.add_argument("input_dir", type=Path)
-    p.add_argument("output_dir", type=Path)
-    common(p)
-
-    p = sub.add_parser("augment", help="generate expression and pose variants")
-    p.add_argument("input_dir", type=Path)
-    p.add_argument("output_dir", type=Path)
-    common(p)
-
-    p = sub.add_parser("render", help="render aligned scans to depth-map PGMs")
-    p.add_argument("input_dir", type=Path)
-    p.add_argument("output_dir", type=Path)
-    p.add_argument("--patches", action="store_true", help="also write patched variants")
-    common(p)
-
-    p = sub.add_parser("evaluate", help="match probe maps against a gallery")
-    p.add_argument("gallery_dir", type=Path)
-    p.add_argument("probe_dir", type=Path)
-    p.add_argument("report_dir", type=Path)
-    common(p)
+        p.set_defaults(run=run)
     return parser
 
 
@@ -456,16 +448,7 @@ def main(argv=None) -> int:
     try:
         overrides = {"seed": args.seed} if args.seed is not None else None
         config = load_config(args.config, overrides)
-        if args.command == "preprocess":
-            failures = cmd_preprocess(args.input_dir, args.output_dir, config, args.workers)
-        elif args.command == "augment":
-            failures = cmd_augment(args.input_dir, args.output_dir, config, args.workers)
-        elif args.command == "render":
-            failures = cmd_render(
-                args.input_dir, args.output_dir, config, args.patches, args.workers
-            )
-        else:
-            failures = cmd_evaluate(args.gallery_dir, args.probe_dir, config, args.report_dir)
+        failures = args.run(args, config)
     except Exception as exc:
         log.error("%s", exc)
         return 1

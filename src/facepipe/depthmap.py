@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from facepipe.pointcloud import PointCloud, _whole_file
+from facepipe.pointcloud import PointCloud, _set_read_only, _whole_file
 
 __all__ = [
     "DepthMap",
@@ -73,10 +73,7 @@ class DepthMap:
             raise ValueError("valid pixels must be finite")
         if np.any(depth[~valid] != 0.0):
             raise ValueError("invalid pixels must carry depth 0")
-        depth.setflags(write=False)
-        valid.setflags(write=False)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "valid", valid)
+        _set_read_only(self, depth=depth, valid=valid)
 
     @property
     def height(self) -> int:
@@ -96,13 +93,14 @@ class RenderParams:
     fixed_depth_range: tuple[float, float] | None = None  # None: per-image min/max
 
     def __post_init__(self):
-        if self.crop_radius <= 0:
-            raise ValueError("crop_radius must be positive")
-        if self.output_size < 2:
+        # each check is written so that NaN fails it
+        if not 0 < self.crop_radius < np.inf:
+            raise ValueError("crop_radius must be positive and finite")
+        if not self.output_size >= 2:
             raise ValueError("output_size must be >= 2")
-        if self.final_size < 2:
+        if not self.final_size >= 2:
             raise ValueError("final_size must be >= 2")
-        if self.median_kernel < 3 or self.median_kernel % 2 == 0:
+        if not (self.median_kernel >= 3 and self.median_kernel % 2 == 1):
             raise ValueError("median_kernel must be odd and >= 3")
         if self.fixed_depth_range is not None:
             lo, hi = map(float, self.fixed_depth_range)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from facepipe.depthmap import pgm_depth, read_pgm
-from facepipe.pointcloud import _whole_file
+from facepipe.pointcloud import _set_read_only, _whole_file
 
 __all__ = [
     "PcaModel",
@@ -81,11 +81,7 @@ class PcaModel:
             raise ValueError("one variance per component required")
         if np.any(np.diff(var) > 1e-12) or np.any(var < -1e-12):
             raise ValueError("explained_variance must be non-increasing and >= 0")
-        for arr in (mean, comps, var):
-            arr.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "explained_variance", var)
+        _set_read_only(self, mean=mean, components=comps, explained_variance=var)
 
     @property
     def k(self) -> int:

@@ -19,6 +19,7 @@ from facepipe.pointcloud import (
     PointCloud,
     RigidTransform,
     WarmNeighbors,
+    _set_read_only,
     _whole_file,
 )
 
@@ -76,11 +77,7 @@ class MorphableModel:
                 raise ValueError(f"{name} basis has zero or non-finite columns")
         if not 0 <= self.nose_index < n:
             raise ValueError("nose_index out of range")
-        for arr in (mean, ps, pe):
-            arr.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "shape_basis", ps)
-        object.__setattr__(self, "expr_basis", pe)
+        _set_read_only(self, mean=mean, shape_basis=ps, expr_basis=pe)
 
     @property
     def n_vertices(self) -> int:
@@ -107,8 +104,8 @@ class ModelParams:
     beta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=np.float64).reshape(-1))
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=np.float64).reshape(-1))
+        alpha, beta = (np.asarray(v, dtype=np.float64).reshape(-1) for v in (self.alpha, self.beta))
+        _set_read_only(self, alpha=alpha, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -116,6 +113,15 @@ class FitConfig:
     max_outer: int = 20
     convergence_eps: float = 1e-4  # mm change in correspondence rmse
     ridge: float = 1e-3  # penalty weight relative to the per-row data term
+
+    def __post_init__(self):
+        # each check is written so that NaN fails it
+        if not self.max_outer >= 1:
+            raise ValueError("max_outer must be >= 1")
+        if not 0 < self.convergence_eps < np.inf:
+            raise ValueError("convergence_eps must be positive and finite")
+        if not 0 <= self.ridge < np.inf:
+            raise ValueError("ridge must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -138,8 +144,7 @@ class DisplacementField:
         v = np.asarray(self.vectors, dtype=np.float64)
         if v.ndim != 2 or v.shape[1] != 3 or not np.isfinite(v).all():
             raise ValueError("vectors must be a finite (n, 3) array")
-        v.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
+        _set_read_only(self, vectors=v)
 
 
 def synthesize(model: MorphableModel, params: ModelParams) -> PointCloud:
@@ -376,8 +381,10 @@ def load_model(path) -> MorphableModel:
     raw = path.read_bytes()
     if raw[:5] != _MAGIC:
         raise ValueError(f"{path}: bad magic, expected {_MAGIC!r}")
-    n, ks, ke = struct.unpack_from("<QQQ", raw, 5)
     offset = 5 + 24
+    if len(raw) < offset:
+        raise ValueError(f"{path}: truncated header, expected {offset} bytes, found {len(raw)}")
+    n, ks, ke = struct.unpack_from("<QQQ", raw, 5)
     counts = [3 * n, 3 * n * ks, 3 * n * ke]
     need = offset + 8 * sum(counts) + 8
     if len(raw) != need:

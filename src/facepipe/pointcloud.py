@@ -57,9 +57,7 @@ class PointCloud:
     landmarks: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        pts = _as_points(self.points)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        _set_read_only(self, points=_as_points(self.points))
         lms = {}
         for name, p in self.landmarks.items():
             p = np.asarray(p, dtype=np.float64).reshape(3)
@@ -90,10 +88,7 @@ class RigidTransform:
             raise ValueError("rotation is not orthonormal")
         if not abs(np.linalg.det(r) - 1.0) <= _ROTATION_TOL:
             raise ValueError("rotation determinant is not +1")
-        r.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
+        _set_read_only(self, rotation=r, translation=t)
 
     @classmethod
     def identity(cls) -> "RigidTransform":
@@ -303,6 +298,13 @@ def _whole_file(path, mode: str = "wb", **open_args):
         raise
 
 
+def _set_read_only(record, **arrays: np.ndarray) -> None:
+    """Make each array read-only and set it as that field of a frozen dataclass."""
+    for name, array in arrays.items():
+        array.setflags(write=False)
+        object.__setattr__(record, name, array)
+
+
 def _landmark_sidecar(path: Path) -> Path:
     return path.with_name(path.stem + ".landmarks.json")
 
@@ -436,8 +438,13 @@ def load_ply(path) -> PointCloud:
         landmarks = json.loads(sidecar.read_text())
         if not isinstance(landmarks, dict):
             raise TypeError(f"expected an object, got {type(landmarks).__name__}")
+        for name, value in landmarks.items():  # JSON numbers only: no strings, booleans or lists
+            numbers = isinstance(value, list) and all(type(x) in (int, float) for x in value)
+            if not (numbers and len(value) == 3):
+                raise TypeError(f"landmark {name!r} is not three numbers, got {json.dumps(value)}")
         return PointCloud(pts, landmarks)
-    except (TypeError, ValueError) as exc:  # bad JSON, or a landmark that is not 3 finite numbers
+    # bad JSON, or a landmark that is not three finite numbers (an integer may overflow a float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise PlyParseError(f"{sidecar}: malformed landmark sidecar: {exc}") from None
 
 

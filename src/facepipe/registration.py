@@ -49,12 +49,13 @@ class IcpParams:
     rejection_multiplier: float = 6.0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
+        # each check is written so that NaN fails it
+        if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.convergence_eps <= 0:
-            raise ValueError("convergence_eps must be positive")
-        if self.rejection_multiplier <= 1:
-            raise ValueError("rejection_multiplier must be > 1")
+        if not 0 < self.convergence_eps < np.inf:
+            raise ValueError("convergence_eps must be positive and finite")
+        if not 1 < self.rejection_multiplier < np.inf:
+            raise ValueError("rejection_multiplier must be > 1 and finite")
 
 
 @dataclass(frozen=True)

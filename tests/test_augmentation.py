@@ -31,6 +31,22 @@ def toy():
     return make_toy_model(n_vertices=600, ks=4, ke=6, seed=11)
 
 
+class TestAugmentPlan:
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("angle_bound", float("nan"), "bounds"),
+            ("angle_bound", float("inf"), "bounds"),
+            ("translation_bound", float("nan"), "bounds"),
+            ("translation_bound", float("inf"), "bounds"),
+            ("patch_count", float("nan"), "counts"),
+        ],
+    )
+    def test_rejects_nan_and_infinity(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            AugmentPlan(**{name: value})
+
+
 class TestRandomRigid:
     def test_within_bounds(self):
         rng = np.random.default_rng(0)
@@ -98,18 +114,20 @@ class TestAugmentSubject:
     def test_output_count(self, toy):
         scan = synthesize(toy, ModelParams(np.zeros(4), np.zeros(6)))
         plan = AugmentPlan(expressions_per_subject=5, poses_per_scan=3, seed=1)
-        out = augment_subject(scan, toy, plan)
-        assert len(out) == 8
+        expressions, poses = augment_subject(scan, toy, plan)
+        assert (len(expressions), len(poses)) == (5, 3)
 
     def test_zero_plan_empty(self, toy):
         scan = synthesize(toy, ModelParams(np.zeros(4), np.zeros(6)))
         plan = AugmentPlan(expressions_per_subject=0, poses_per_scan=0, seed=1)
-        assert augment_subject(scan, toy, plan) == []
+        assert augment_subject(scan, toy, plan) == ([], [])
 
     def test_expression_outputs_preserve_point_count(self, toy):
         scan = synthesize(toy, ModelParams(np.full(4, 0.2), np.zeros(6)))
         plan = AugmentPlan(expressions_per_subject=4, poses_per_scan=2, seed=2)
-        for cloud in augment_subject(scan, toy, plan):
+        expressions, poses = augment_subject(scan, toy, plan)
+        assert (len(expressions), len(poses)) == (4, 2)
+        for cloud in expressions + poses:
             assert len(cloud) == len(scan)
 
     def test_deterministic_given_seed(self, toy):
@@ -117,9 +135,10 @@ class TestAugmentSubject:
         plan = AugmentPlan(expressions_per_subject=3, poses_per_scan=2, seed=9)
         a = augment_subject(scan, toy, plan)
         b = augment_subject(scan, toy, plan)
-        assert len(a) == len(b)
-        for ca, cb in zip(a, b):
-            assert np.array_equal(ca.points, cb.points)
+        assert [len(kind) for kind in a] == [len(kind) for kind in b]
+        for kind_a, kind_b in zip(a, b):
+            for ca, cb in zip(kind_a, kind_b):
+                assert np.array_equal(ca.points, cb.points)
 
     def test_one_neighbor_lookup_per_subject(self, toy, monkeypatch):
         """The expression count adds no neighbour queries, and each variant is
@@ -134,7 +153,8 @@ class TestAugmentSubject:
         for expressions in (1, 4):
             calls.clear()
             plan = AugmentPlan(expressions_per_subject=expressions, poses_per_scan=0, seed=4)
-            out = augment_subject(scan, toy, plan)
+            out, poses = augment_subject(scan, toy, plan)
+            assert (len(out), poses) == (expressions, [])
             counts.append(len(calls))
         assert counts[0] == counts[1]
         rng = np.random.default_rng(4)
@@ -148,6 +168,8 @@ class TestAugmentSubject:
     def test_expressions_actually_deform(self, toy):
         scan = synthesize(toy, ModelParams(np.zeros(4), np.zeros(6)))
         plan = AugmentPlan(expressions_per_subject=3, poses_per_scan=0, seed=3)
-        for cloud in augment_subject(scan, toy, plan):
+        expressions, poses = augment_subject(scan, toy, plan)
+        assert (len(expressions), poses) == (3, [])
+        for cloud in expressions:
             rms = np.sqrt(np.mean(np.sum((cloud.points - scan.points) ** 2, axis=1)))
             assert rms > 0.1

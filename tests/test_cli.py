@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import logging
 import re
@@ -745,6 +746,46 @@ class TestMain:
         assert len(errors) == 1
         assert "nose detection (reference)" in errors[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, called, arguments",
+        [
+            (["preprocess", "a", "b"], "cmd_preprocess", {"input_dir": "a", "output_dir": "b"}),
+            (["preprocess", "a", "b", "--workers", "2"], "cmd_preprocess",
+             {"input_dir": "a", "output_dir": "b", "workers": 2}),
+            (["augment", "a", "b", "--workers", "2"], "cmd_augment",
+             {"input_dir": "a", "output_dir": "b", "workers": 2}),
+            (["render", "a", "b"], "cmd_render",
+             {"input_dir": "a", "output_dir": "b", "patches": False}),
+            (["render", "a", "b", "--patches", "--workers", "2"], "cmd_render",
+             {"input_dir": "a", "output_dir": "b", "patches": True, "workers": 2}),
+            (["evaluate", "g", "p", "r"], "cmd_evaluate",
+             {"gallery_dir": "g", "probe_dir": "p", "report_dir": "r"}),
+        ],
+        ids=["preprocess", "preprocess-workers", "augment-workers", "render",
+             "render-patches-workers", "evaluate"],
+    )
+    def test_each_command_gets_its_own_arguments(self, monkeypatch, argv, called, arguments):
+        import facepipe.cli
+
+        calls = []
+        for name in ("cmd_preprocess", "cmd_augment", "cmd_render", "cmd_evaluate"):
+            signature = inspect.signature(getattr(facepipe.cli, name))
+
+            def record(*args, _name=name, _signature=signature, **kwargs):
+                bound = _signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                calls.append((_name, bound.arguments))
+                return 0
+
+            monkeypatch.setattr(facepipe.cli, name, record)
+        assert main(argv) == 0
+        assert len(calls) == 1
+        name, bound = calls[0]
+        assert name == called
+        assert isinstance(bound["config"], PipelineConfig)
+        for key, value in arguments.items():
+            assert bound[key] == (Path(value) if key.endswith("_dir") else value)
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, workers):

@@ -135,6 +135,22 @@ def depth_maps(draw, min_size=1, max_size=14):
     return DepthMap(depth.reshape(height, width), valid.reshape(height, width))
 
 
+class TestRenderParams:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("crop_radius", float("nan")),
+            ("crop_radius", float("inf")),
+            ("output_size", float("nan")),
+            ("final_size", float("nan")),
+            ("median_kernel", float("nan")),
+        ],
+    )
+    def test_rejects_nan_and_infinity(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RenderParams(**{name: value})
+
+
 class TestRenderDepth:
     def test_single_point_integer_landing(self):
         cloud = PointCloud([[10.0, 0.0, 30.0]])

@@ -3,6 +3,7 @@ import pytest
 
 from facepipe.morphable import (
     DisplacementField,
+    FitConfig,
     FitError,
     ModelParams,
     displacement_field,
@@ -107,6 +108,31 @@ class TestToyModel:
             make_toy_model(10, 2, 2, seed=0)
 
 
+class TestFitConfig:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("max_outer", 0),
+            ("max_outer", -1),
+            ("max_outer", float("nan")),
+            ("convergence_eps", -1.0),
+            ("convergence_eps", 0.0),
+            ("convergence_eps", float("nan")),
+            ("convergence_eps", float("inf")),
+            ("ridge", -1.0),
+            ("ridge", float("-inf")),
+            ("ridge", float("inf")),
+            ("ridge", float("nan")),
+        ],
+    )
+    def test_rejects_out_of_range(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            FitConfig(**{name: value})
+
+    def test_unregularized_fit_accepted(self):
+        assert FitConfig(ridge=0.0).ridge == 0.0
+
+
 class TestModelFile:
     def test_round_trip(self, toy, tmp_path):
         path = tmp_path / "toy.mlmm"
@@ -129,6 +155,13 @@ class TestModelFile:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ValueError, match="bytes"):
             load_model(path)
+
+    def test_truncated_header_names_the_file(self, tmp_path):
+        path = tmp_path / "cut.mlmm"
+        path.write_bytes(b"MLMM1" + b"\x00" * 10)
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: truncated header")
 
 
 class TestRandomExpression:

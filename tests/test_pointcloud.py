@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import struct
@@ -11,6 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import facepipe
+from facepipe.depthmap import DepthMap
+from facepipe.embedding import PcaModel
+from facepipe.morphable import DisplacementField, ModelParams, MorphableModel
 from facepipe.pointcloud import (
     EmptyCropError,
     NeighborIndex,
@@ -79,6 +83,35 @@ class TestPointCloud:
         cloud = PointCloud(np.zeros((3, 3)))
         with pytest.raises(ValueError):
             cloud.points[0, 0] = 1.0
+
+
+class TestReadOnlyRecords:
+    """Every ndarray field of a frozen record is read-only once it is built."""
+
+    @staticmethod
+    def records():
+        rng = np.random.default_rng(0)
+        yield PointCloud(rng.normal(size=(4, 3)), {"nose_tip": np.zeros(3), "chin": np.ones(3)})
+        yield RigidTransform(np.eye(3), np.zeros(3))
+        yield DepthMap(np.ones((3, 4)), np.ones((3, 4), dtype=bool))
+        yield PcaModel(np.zeros(3), np.eye(3)[:2], np.array([2.0, 1.0]))
+        yield MorphableModel(rng.normal(size=(4, 3)), rng.normal(size=(12, 2)),
+                             rng.normal(size=(12, 3)), 0)
+        yield ModelParams(np.zeros(2), np.zeros(3))
+        yield DisplacementField(np.zeros((4, 3)))
+
+    def test_array_fields_read_only(self):
+        built = list(self.records())
+        assert len({type(r) for r in built}) == 7
+        for record in built:
+            arrays = []
+            for f in dataclasses.fields(record):
+                value = getattr(record, f.name)
+                arrays += value.values() if isinstance(value, dict) else [value]
+            arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+            assert arrays, type(record).__name__
+            for array in arrays:
+                assert not array.flags.writeable, type(record).__name__
 
 
 class TestRigidTransform:
@@ -441,8 +474,13 @@ class TestPlyIO:
             '{"nose_tip": [1, 2',
             '{"nose_tip": [NaN, 0, 0]}',
             '{"nose_tip": {"x": 1}}',
+            '{"nose_tip": ["1", "2", "3"]}',
+            '{"nose_tip": [true, false, true]}',
+            '{"nose_tip": [[1], [2], [3]]}',
+            f'{{"nose_tip": [1{"0" * 400}, 0, 0]}}',
         ],
-        ids=["list", "two-numbers", "bad-json", "nan", "object-value"],
+        ids=["list", "two-numbers", "bad-json", "nan", "object-value",
+             "strings", "booleans", "nested", "integer-beyond-float"],
     )
     def test_malformed_sidecar_names_it(self, tmp_path, text):
         save_ply(PointCloud(np.zeros((3, 3)), {"nose_tip": [1.0, 2.0, 3.0]}), tmp_path / "x.ply")
@@ -450,6 +488,13 @@ class TestPlyIO:
         sidecar.write_text(text)
         with pytest.raises(PlyParseError, match=f"^{re.escape(str(sidecar))}: malformed landmark"):
             load_ply(tmp_path / "x.ply")
+
+    def test_sidecar_integers_load_as_floats(self, tmp_path):
+        save_ply(PointCloud(np.zeros((3, 3))), tmp_path / "x.ply")
+        (tmp_path / "x.landmarks.json").write_text('{"nose_tip": [1, -2, 3]}')
+        nose = load_ply(tmp_path / "x.ply").landmarks["nose_tip"]
+        assert nose.dtype == np.float64
+        assert nose.tolist() == [1.0, -2.0, 3.0]
 
     @pytest.mark.parametrize(
         "header, message",

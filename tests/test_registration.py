@@ -107,6 +107,22 @@ class TestDetectNoseTip:
             detect_nose_tip(PointCloud(np.random.default_rng(1).normal(size=(50, 3))))
 
 
+class TestIcpParams:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("max_iterations", float("nan")),
+            ("convergence_eps", float("nan")),
+            ("convergence_eps", float("inf")),
+            ("rejection_multiplier", float("nan")),
+            ("rejection_multiplier", float("inf")),
+        ],
+    )
+    def test_rejects_nan_and_infinity(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            IcpParams(**{name: value})
+
+
 class TestRigidIcp:
     def test_identity_when_source_equals_reference(self, reference, index):
         result = rigid_icp(reference, index)

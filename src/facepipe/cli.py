@@ -39,7 +39,7 @@ from facepipe.embedding import (
 from facepipe.matching import Gallery, MatchAccountingError, cmc, roc
 from facepipe.morphable import FitConfig, MorphableModel, load_model, make_toy_model
 from facepipe.pointcloud import NeighborIndex, PointCloud, _whole_file, load_ply, save_ply
-from facepipe.registration import IcpParams, NoseDetectionError, PreprocessError
+from facepipe.registration import IcpParams, NoseDetectionError
 from facepipe.registration import detect_nose_tip, preprocess_with_result
 
 __all__ = [
@@ -243,7 +243,7 @@ def cmd_preprocess(input_dir, output_dir, config: PipelineConfig, workers: int =
     try:
         reference_nose = detect_nose_tip(reference)
     except NoseDetectionError as exc:
-        raise PreprocessError(f"nose detection (reference): {exc}") from exc
+        raise NoseDetectionError(f"nose detection (reference): {exc}") from exc
     index = NeighborIndex(reference.points)
 
     def one(path: Path, out: Path) -> str:
@@ -305,11 +305,16 @@ def cmd_render(
 ) -> int:
     """Render every aligned PLY to a normalized 16-bit PGM (optionally patched)."""
     plan = config.augment
+    variants = plan.patch_variants_per_scan if patches else 0
+    if variants and plan.patch_size > config.render.final_size:
+        raise ValueError(
+            f"augment.patch_size {plan.patch_size} exceeds render.final_size "
+            f"{config.render.final_size}, the side of every map"
+        )
 
     def one(path: Path, out: Path) -> str:
         dmap = render_pipeline(load_ply(path), config.render)
         export_pgm(dmap, out / f"{path.stem}.pgm")
-        variants = plan.patch_variants_per_scan if patches else 0
         if variants:
             rng = np.random.default_rng(_derived_seed(plan.seed, "patches", path.stem))
             for k in range(variants):

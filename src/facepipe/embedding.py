@@ -108,7 +108,7 @@ def _pca(xc: np.ndarray, pick_k) -> PcaModel:
     rank = int(np.sum(evals > tol))
     if rank == 0:
         raise ValueError("degenerate input: all feature vectors identical")
-    evals = np.maximum(evals[:rank], 0.0)
+    evals = evals[:rank]  # each above tol >= 0
     k = pick_k(evals)
     if k > rank:
         raise ValueError(f"k={k} exceeds the numerical rank {rank} of the sample")

@@ -164,8 +164,7 @@ class NeighborIndex:
             if len(self._points) < 2:
                 self._resolution = 0.0
             else:
-                dist, _ = self._tree.query(self._points, k=2)
-                self._resolution = float(np.median(dist[:, 1]))
+                self._resolution = float(np.median(self._nearest_two(self._points)[2]))
         return self._resolution
 
     def query_many(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,15 +373,21 @@ def load_ply(path) -> PointCloud:
         raise PlyParseError(f"{path}: vertex element lacks x/y/z properties") from None
 
     if fmt == "ascii":
-        body = raw[offset:].decode("ascii", errors="replace").splitlines()
-        # one line per entry; skip elements declared before vertex
+        body = raw[offset:].decode("ascii", errors="replace").split("\n")
+        # one entry per non-blank line; skip elements declared before vertex
         skip = sum(e[1] for e in elements[:vert_pos])
         data_lines = [l for l in body if l.strip()]
+
+        def line_of(k: int) -> str:
+            """The file line of data line k; past the last one, the line after it."""
+            at = [i for i, l in enumerate(body) if l.strip()]
+            at.append(at[-1] + 1 if at else 0)
+            return f"line {line_no + 1 + at[k]}"
+
         if len(data_lines) < skip + n_vertices:
-            bad_line = line_no + len(data_lines) + 1
             raise PlyParseError(
                 f"{path}: truncated body, expected {skip + n_vertices} data lines, "
-                f"got {len(data_lines)} (line {bad_line})"
+                f"got {len(data_lines)} ({line_of(len(data_lines))})"
             )
         rows = [l.split() for l in data_lines[skip:skip + n_vertices]]
         try:
@@ -392,16 +397,17 @@ def load_ply(path) -> PointCloud:
         if values is None or min(map(len, rows)) < len(props):
             # Only after a failed pass: find the first bad row, in file order.
             for r, tok in enumerate(rows):
-                where = f"(line {line_no + skip + r + 1})"
                 if len(tok) < len(props):
                     raise PlyParseError(
                         f"{path}: vertex row has {len(tok)} values, expected "
-                        f"{len(props)} {where}"
+                        f"{len(props)} ({line_of(skip + r)})"
                     )
                 try:
                     [float(tok[c]) for c in xyz_cols]
                 except ValueError:
-                    raise PlyParseError(f"{path}: non-numeric coordinate {where}") from None
+                    raise PlyParseError(
+                        f"{path}: non-numeric coordinate ({line_of(skip + r)})"
+                    ) from None
         pts = np.array(values, dtype=np.float64).reshape(n_vertices, 3)
         # Narrow each "property float" column so it holds exact float32 values
         # in memory; past float32 range it reads as inf, rejected below.
@@ -426,7 +432,7 @@ def load_ply(path) -> PointCloud:
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if bad.size:
         where = (
-            f"line {line_no + skip + bad[0] + 1}" if fmt == "ascii"
+            line_of(skip + bad[0]) if fmt == "ascii"
             else f"byte {offset + bad[0] * record.itemsize}"
         )
         raise PlyParseError(f"{path}: non-finite coordinate ({where})")

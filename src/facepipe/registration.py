@@ -20,7 +20,6 @@ __all__ = [
     "IcpResult",
     "NoseDetectionError",
     "IcpDivergenceError",
-    "PreprocessError",
     "detect_nose_tip",
     "rigid_icp",
     "preprocess_with_result",
@@ -33,10 +32,6 @@ class NoseDetectionError(RuntimeError):
 
 class IcpDivergenceError(RuntimeError):
     """Every correspondence was rejected; the clouds do not overlap."""
-
-
-class PreprocessError(RuntimeError):
-    """A preprocessing stage failed; message names the stage."""
 
 
 @dataclass(frozen=True)
@@ -176,21 +171,11 @@ def preprocess_with_result(
     and its nose tip (`detect_nose_tip`). Pipeline: detect the scan's nose
     tip, keep the sphere of crop_radius (mm) around it, translate the nose
     onto the reference nose, refine with ICP, and return the aligned crop
-    together with the ICP result.
+    together with the ICP result. A failed step raises its own error:
+    `NoseDetectionError`, or `EmptyCropError` from the crop.
     """
-    try:
-        nose = detect_nose_tip(cloud)
-    except NoseDetectionError as exc:
-        raise PreprocessError(f"nose detection: {exc}") from exc
-
-    try:
-        cropped = crop_sphere(cloud, nose, crop_radius)
-    except ValueError as exc:
-        raise PreprocessError(f"crop: {exc}") from exc
-
+    nose = detect_nose_tip(cloud)
+    cropped = crop_sphere(cloud, nose, crop_radius)
     init = RigidTransform(np.eye(3), reference_nose - nose)
-    try:
-        result = rigid_icp(cropped, reference, init, params)
-    except IcpDivergenceError as exc:
-        raise PreprocessError(f"icp: {exc}") from exc
+    result = rigid_icp(cropped, reference, init, params)
     return apply_transform(cropped, result.transform), result

@@ -1,8 +1,12 @@
-"""The benchmark traces program functions by name; every name must resolve."""
+"""Names looked up as strings must resolve: the benchmark's traced functions,
+and every name a module exports in `__all__`."""
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
+
+import facepipe
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -24,4 +28,14 @@ def test_every_traced_name_resolves():
             target = getattr(target, part, None)
         if not callable(target):
             missing.append(f"facepipe.{module}.{attr}")
+    assert missing == []
+
+
+def test_every_exported_name_resolves():
+    modules = ["facepipe"] + [f"facepipe.{m.name}" for m in pkgutil.iter_modules(facepipe.__path__)]
+    assert "facepipe.registration" in modules
+    missing = []
+    for name in modules:
+        module = importlib.import_module(name)
+        missing += [f"{name}.{attr}" for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []

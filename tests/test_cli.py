@@ -354,6 +354,23 @@ class TestRender:
         assert len(outputs[0]) == 1 + PipelineConfig().augment.patch_variants_per_scan
         assert outputs[0] == outputs[1]
 
+    def test_patch_larger_than_the_map_fails_before_any_output(self, aligned_dir, tmp_path, caplog):
+        cfg = tmp_path / "big-patch.json"
+        plan = {"patch_size": 300, "patch_variants_per_scan": 2}  # maps are 224 px
+        cfg.write_text(json.dumps({"toy_model": TOY, "augment": plan}))
+        out = tmp_path / "maps"
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="facepipe"):
+            rc = main(["render", str(aligned_dir), str(out), "--config", str(cfg), "--patches"])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert "augment.patch_size 300" in errors[0] and "render.final_size 224" in errors[0]
+        assert not out.exists()
+        # without --patches the patch size is not used
+        assert main(["render", str(aligned_dir), str(out), "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in out.glob("*.pgm")) == ["s00_a.pgm"]
+
     def test_rerun_bit_identical(self, aligned_dir, config, tmp_path):
         out1, out2 = tmp_path / "m1", tmp_path / "m2"
         assert cmd_render(aligned_dir, out1, config, patches=True) == 0
@@ -652,7 +669,7 @@ class TestPerItemFailure:
     @pytest.mark.parametrize(
         "command, error, good_outputs",
         [
-            ("preprocess", "PreprocessError", ["{s}.ply"]),
+            ("preprocess", "NoseDetectionError", ["{s}.ply"]),
             ("augment", "FitError", ["{s}_expr00.ply", "{s}_pose00.ply"]),
             ("render", "EmptyRenderError", ["{s}.pgm"]),
         ],
@@ -710,7 +727,7 @@ class TestMain:
         assert rc == 1
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 2
-        assert errors[0].startswith("FAILED s00z_a.ply: PreprocessError: ")
+        assert errors[0].startswith("FAILED s00z_a.ply: NoseDetectionError: ")
         assert errors[1] == "1 item(s) failed"
         assert (tmp_path / "pp" / "s00_a.ply").exists()
 

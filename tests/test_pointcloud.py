@@ -297,6 +297,15 @@ class TestNeighborIndex:
                 d1, i1 = idx.query_many(q.reshape(1, 3))
                 assert (d1[0].tobytes(), int(i1[0])) == (d.tobytes(), int(i))
 
+    def test_sampling_resolution_is_the_median_second_distance(self):
+        from scipy.spatial import cKDTree
+
+        pts = np.random.default_rng(6).uniform(-10, 10, (300, 3))
+        pts = np.concatenate([pts, pts[:50]])  # 50 stored twice: each one's second distance is 0
+        second = cKDTree(pts).query(pts, k=2)[0][:, 1]
+        assert NeighborIndex(pts).sampling_resolution == float(np.median(second))
+        assert NeighborIndex(pts[:1]).sampling_resolution == 0.0
+
     def test_query_many_tie_rule(self):
         pts = np.array([[1.0, 0, 0], [-1.0, 0, 0], [3.0, 0, 0]])
         idx = NeighborIndex(pts)
@@ -577,8 +586,18 @@ class TestPlyIO:
             ("0 0 0 1\n1 2 3\n", "vertex row has 3 values, expected 4 (line 13)"),
             ("0 0 0 1\n1 x 2 1\n", "non-numeric coordinate (line 13)"),
             ("0 x 0 1\n1 2 3\n", "non-numeric coordinate (line 12)"),
+            # blank lines are skipped, but counted
+            ("0 0 0 1\n\n\n1 2 3\n", "vertex row has 3 values, expected 4 (line 15)"),
+            ("0 0 0 1\n\n\n1 x 2 1\n", "non-numeric coordinate (line 15)"),
+            ("0 0 0 1\n\n\n1 nan 2 1\n", "non-finite coordinate (line 15)"),
+            ("\n\n0 0 0 1\n", "expected 3 data lines, got 2 (line 15)"),
+            # rows end at a newline only; other control whitespace separates values
+            ("0 0 0 1\n1 2\x0b3\n", "vertex row has 3 values, expected 4 (line 13)"),
+            ("0 0 0 1\n1\x0cx 2 1\n", "non-numeric coordinate (line 13)"),
         ],
-        ids=["short-row", "non-numeric", "first-bad-row-wins"],
+        ids=["short-row", "non-numeric", "first-bad-row-wins", "blank-lines-short-row",
+             "blank-lines-non-numeric", "blank-lines-non-finite", "blank-lines-truncated",
+             "vertical-tab", "form-feed"],
     )
     def test_bad_ascii_vertex_row(self, tmp_path, rows, message):
         # the face element comes first, so vertex rows start one line later

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from facepipe.morphable import make_toy_model
 from facepipe.pointcloud import (
+    EmptyCropError,
     NeighborIndex,
     PointCloud,
     RigidTransform,
@@ -14,7 +17,6 @@ from facepipe.registration import (
     IcpParams,
     IcpResult,
     NoseDetectionError,
-    PreprocessError,
     _accept_mask,
     detect_nose_tip,
     preprocess_with_result,
@@ -67,6 +69,24 @@ def icp_reference(source, reference, init, params):
     keep = _accept_mask(dist, params.rejection_multiplier, floor)
     rmse = float(np.sqrt(np.mean(dist[keep] ** 2)))
     return IcpResult(total, rmse, len(history), converged, tuple(history))
+
+
+class TestAcceptMask:
+    # The mask keeps at least one pair whenever there is one, so ICP never
+    # rejects every correspondence and preprocess has no ICP failure.
+    @given(
+        dist=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, allow_nan=False, allow_infinity=False)),
+            min_size=1,
+        ),
+        multiplier=st.floats(1.0, exclude_min=True, allow_nan=False, allow_infinity=False),
+        floor=st.floats(0.0, allow_nan=False, allow_infinity=False),
+    )
+    @example(dist=[0.0, 0.0, 0.0], multiplier=6.0, floor=0.0)  # all zero
+    @example(dist=[0.0, 0.0, 3.0, 4.0], multiplier=6.0, floor=0.0)  # half zero
+    def test_keeps_a_pair(self, dist, multiplier, floor):
+        with np.errstate(over="ignore"):  # a median of two huge distances is inf, and keeps all
+            assert _accept_mask(np.array(dist), multiplier, floor).any()
 
 
 class TestDetectNoseTip:
@@ -220,7 +240,7 @@ class TestPreprocess:
     def test_error_names_failing_stage(self, index, reference_nose):
         rng = np.random.default_rng(3)
         flat = np.column_stack([rng.uniform(-50, 50, (400, 2)), np.zeros(400)])
-        with pytest.raises(PreprocessError, match="nose detection"):
+        with pytest.raises(NoseDetectionError, match="degenerate"):
             preprocess_with_result(PointCloud(flat), index, reference_nose)
 
     def test_crop_failure_names_stage(self, index, reference_nose):
@@ -229,5 +249,5 @@ class TestPreprocess:
         cloud = PointCloud(
             rng.uniform(-40, 40, (200, 3)), {"nose_tip": [5000.0, 0.0, 0.0]}
         )
-        with pytest.raises(PreprocessError, match="crop"):
+        with pytest.raises(EmptyCropError, match="no points within"):
             preprocess_with_result(cloud, index, reference_nose)

@@ -336,20 +336,28 @@ def _make_backend(config: PipelineConfig, gallery_files: list[Path]):
 def _pca_coded(backend, files: list[Path], n_fit: int, variance_target: float, cap: int):
     """The post-embedding PCA, fitted on the first `n_fit` maps, and every map coded by it.
 
-    Each map's sqrt-normalized feature goes straight into its row of one
-    owned (n, d) matrix, d being the first feature's width; no map is kept.
-    The fit centres its rows in place, the other rows get the same
-    `-= mean`, and each row is projected alone. The matrix is dropped on
-    return, before matching.
+    Each map's sqrt-normalized feature goes straight into a row of one owned
+    (n_fit, d) matrix, d being the first feature's width; no map is kept.
+    The fit centres that matrix in place. The other maps then pass through
+    its leading rows, at most `n_fit` at a time: embedded, `-= mean`, and
+    projected. `pca_transform` projects each row alone, so the blocks code
+    to the bits one stacked batch would.
     """
     first = sqrt_normalize(backend.embed(files[0]))
-    feats = np.empty((len(files), first.shape[0]))
+    feats = np.empty((n_fit, first.shape[0]))
     feats[0] = first
-    for i, f in enumerate(files[1:], start=1):
-        feats[i] = sqrt_normalize(backend.embed(f))
-    pca = pca_fit_variance(feats[:n_fit], variance_target, cap)
-    feats[n_fit:] -= pca.mean
-    return pca, pca_transform(pca, feats)
+    for row, f in zip(feats[1:], files[1:n_fit]):
+        row[:] = sqrt_normalize(backend.embed(f))
+    pca = pca_fit_variance(feats, variance_target, cap)
+    coded = np.empty((len(files), pca.k))
+    coded[:n_fit] = pca_transform(pca, feats)
+    for start in range(n_fit, len(files), n_fit):
+        block = feats[: min(n_fit, len(files) - start)]
+        for row, f in zip(block, files[start:]):
+            row[:] = sqrt_normalize(backend.embed(f))
+        block -= pca.mean
+        coded[start : start + len(block)] = pca_transform(pca, block)
+    return pca, coded
 
 
 def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> int:
@@ -368,12 +376,13 @@ def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> 
         raise MatchAccountingError(f"probe subjects absent from gallery: {', '.join(missing)}")
     mode = config.matching.pca_mode
 
-    backend = _make_backend(config, gallery_files)
     n_fit = len(gallery_files) if mode == "gallery" else len(gallery_files) + len(probe_files)
     pca, coded = _pca_coded(
-        backend, gallery_files + probe_files, n_fit,
+        _make_backend(config, gallery_files), gallery_files + probe_files, n_fit,
         config.embedding.pca_variance_target, max(1, len(gallery_ids) - 1),
     )
+    k = pca.k
+    del pca  # scoring holds neither the model nor the backend
 
     gallery = Gallery(zip(gallery_ids, coded[: len(gallery_files)]))
     scores = gallery.identity_distances(coded[len(gallery_files) :])
@@ -395,7 +404,7 @@ def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> 
         "probe_count": len(probe_files),
         "rank1_accuracy": float(curve[0]),
         "rank2_accuracy": float(curve[min(1, len(curve) - 1)]),
-        "pca_components": pca.k,
+        "pca_components": k,
         "pca_mode": mode,
         "backend": config.embedding.backend,
     }

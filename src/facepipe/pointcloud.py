@@ -394,10 +394,10 @@ def load_ply(path) -> PointCloud:
             values = [float(tok[c]) for tok in rows for c in xyz_cols]
         except (ValueError, IndexError):
             values = None
-        if values is None or min(map(len, rows)) < len(props):
+        if values is None or set(map(len, rows)) != {len(props)}:
             # Only after a failed pass: find the first bad row, in file order.
             for r, tok in enumerate(rows):
-                if len(tok) < len(props):
+                if len(tok) != len(props):
                     raise PlyParseError(
                         f"{path}: vertex row has {len(tok)} values, expected "
                         f"{len(props)} ({line_of(skip + r)})"

@@ -10,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facepipe.cli import (
     PipelineConfig,
+    _pca_coded,
     _write_csv,
     _write_json,
     cmd_augment,
@@ -23,7 +26,12 @@ from facepipe.cli import (
     main,
 )
 from facepipe.depthmap import DepthMap, export_pgm
-from facepipe.embedding import write_feature_file
+from facepipe.embedding import (
+    pca_fit_variance,
+    pca_transform,
+    sqrt_normalize,
+    write_feature_file,
+)
 from facepipe.morphable import ModelParams, make_toy_model, save_model, synthesize
 from facepipe.pointcloud import (
     PointCloud,
@@ -433,7 +441,7 @@ class TestEvaluate:
             assert (r1 / name).read_bytes() == (r2 / name).read_bytes()
 
     @staticmethod
-    def _external(rendered, tmp_path, skip=()):
+    def _external(rendered, tmp_path, skip=(), pca_mode="union"):
         """Config of the external backend over one random feature file per map."""
         feature_dir = tmp_path / "features"
         feature_dir.mkdir()
@@ -447,6 +455,7 @@ class TestEvaluate:
         cfg_path.write_text(json.dumps({
             "toy_model": TOY,
             "embedding": {"backend": "external", "feature_dir": str(feature_dir)},
+            "matching": {"pca_mode": pca_mode},
         }))
         return load_config(cfg_path)
 
@@ -507,13 +516,39 @@ class TestEvaluate:
         assert str(info.value).startswith(str(rendered / "s02_a.pgm"))
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("mode", ["union", "gallery"])
-    def test_external_evaluate_peak_memory(self, tmp_path, mode):
-        # One owned (N, D) feature matrix plus the PCA model: a list of rows,
-        # a stacked copy, a copy of the fit rows or a centred batch would each
-        # add up to N*D*8 bytes. Shaped like FRGC: one gallery and three probe
-        # maps per identity, wide features.
-        ids, probes_each, dim = 8, 3, 4096
+    def test_missing_feature_past_the_fit_fails_evaluate(self, rendered, tmp_path):
+        # gallery mode: the 4 gallery maps are fitted first, then 9 probes are
+        # embedded 4 at a time; the last one, in the third block, has no feature
+        from facepipe.embedding import FeatureLookupError
+
+        ext_config = self._external(rendered, tmp_path, pca_mode="gallery")
+        probe_dir = tmp_path / "probes"
+        probe_dir.mkdir()
+        rng = np.random.default_rng(5)
+        for i in range(9):
+            missing = probe_dir / f"s{i * 4 // 9:02d}_p{i}.pgm"
+            export_pgm(DepthMap(rng.uniform(0, 255, (8, 8)), np.ones((8, 8), bool)), missing)
+            if i < 8:
+                digest = hashlib.sha256(missing.read_bytes()).hexdigest()
+                write_feature_file(rng.normal(size=64), tmp_path / "features" / f"{digest}.fvec")
+        with pytest.raises(FeatureLookupError) as info:
+            cmd_evaluate(rendered, probe_dir, ext_config, tmp_path / "r")
+        assert str(info.value).startswith(f"{missing}: no feature file")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "mode, probes_each",
+        [("union", 3), ("gallery", 3), ("union", 12), ("gallery", 12)],
+        ids=["union", "gallery", "union-12-probes", "gallery-12-probes"],
+    )
+    def test_external_evaluate_peak_memory(self, tmp_path, mode, probes_each):
+        # One owned (n_fit, D) feature matrix plus the PCA model: a list of
+        # rows, a stacked copy, a copy of the fit rows or a centred batch would
+        # each add up to N*D*8 bytes. Shaped like FRGC: one gallery map and
+        # several probe maps per identity, wide features. In gallery mode the
+        # probes pass through the gallery's rows, so the peak must not grow
+        # with the probe count.
+        ids, dim = 8, 4096
         gallery, probes, features = (tmp_path / d for d in ("gallery", "probes", "features"))
         for folder in (gallery, probes, features):
             folder.mkdir()
@@ -536,8 +571,65 @@ class TestEvaluate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * ids * (1 + probes_each) * dim * 8
+        if mode == "gallery":
+            assert peak < 4 * ids * dim * 8
+        else:
+            assert peak < 1.5 * ids * (1 + probes_each) * dim * 8
 
+
+def _pca_coded_stacked(backend, files, n_fit, variance_target, cap):
+    """`_pca_coded` as it was before block-wise coding: every map in one (n, d) matrix."""
+    first = sqrt_normalize(backend.embed(files[0]))
+    feats = np.empty((len(files), first.shape[0]))
+    feats[0] = first
+    for i, f in enumerate(files[1:], start=1):
+        feats[i] = sqrt_normalize(backend.embed(f))
+    pca = pca_fit_variance(feats[:n_fit], variance_target, cap)
+    feats[n_fit:] -= pca.mean
+    return pca, pca_transform(pca, feats)
+
+
+class _DictBackend:
+    """Feature lookup from a dict, in place of a feature directory."""
+
+    def __init__(self, features):
+        self._features = features
+
+    def embed(self, path):
+        return self._features[path]
+
+
+class TestBlockCoding:
+    """The maps outside the fit set, coded a fit set at a time, bit for bit as one batch."""
+
+    @staticmethod
+    def _assert_codes_equal(n_fit, n_other, width, target, seed):
+        rng = np.random.default_rng(seed)
+        files = [f"m{i:03d}.pgm" for i in range(n_fit + n_other)]
+        backend = _DictBackend({f: rng.normal(size=width) + 2.0 for f in files})
+        cap = max(1, n_fit - 1)
+        reference, expected = _pca_coded_stacked(backend, files, n_fit, target, cap)
+        model, coded = _pca_coded(backend, files, n_fit, target, cap)
+        assert model.mean.tobytes() == reference.mean.tobytes()
+        assert model.components.tobytes() == reference.components.tobytes()
+        assert model.explained_variance.tobytes() == reference.explained_variance.tobytes()
+        assert coded.shape == expected.shape == (n_fit + n_other, model.k)
+        assert coded.tobytes() == expected.tobytes()
+        return model
+
+    @given(seed=st.integers(0, 2**32 - 1), n_fit=st.integers(2, 12), width=st.integers(1, 40),
+           target=st.floats(0.05, 1.0), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_code_as_one_batch(self, seed, n_fit, width, target, data):
+        # 0 to 3 * n_fit other maps: none (n_fit = N), fewer than one fit set,
+        # exactly one, and counts that are not a multiple of it
+        n_other = data.draw(st.integers(0, 3 * n_fit), label="n_other")
+        self._assert_codes_equal(n_fit, n_other, width, target, seed)
+
+    def test_wide_features_code_as_one_batch(self):
+        # the gemv sizes of FRGC-shaped evaluates: 4096-d, over a hundred components
+        model = self._assert_codes_equal(120, 250, 4096, 1.0, 7)
+        assert model.k >= 100
 
 class TestWholeFiles:
     """Each output file appears whole or not at all, with a plain write's permissions."""

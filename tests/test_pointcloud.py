@@ -584,10 +584,12 @@ class TestPlyIO:
         "rows, message",
         [
             ("0 0 0 1\n1 2 3\n", "vertex row has 3 values, expected 4 (line 13)"),
+            ("0 0 0 1 5 6\n1 2 3 4\n", "vertex row has 6 values, expected 4 (line 12)"),
             ("0 0 0 1\n1 x 2 1\n", "non-numeric coordinate (line 13)"),
             ("0 x 0 1\n1 2 3\n", "non-numeric coordinate (line 12)"),
             # blank lines are skipped, but counted
             ("0 0 0 1\n\n\n1 2 3\n", "vertex row has 3 values, expected 4 (line 15)"),
+            ("0 0 0 1\n\n1 2 3 4 5\n", "vertex row has 5 values, expected 4 (line 14)"),
             ("0 0 0 1\n\n\n1 x 2 1\n", "non-numeric coordinate (line 15)"),
             ("0 0 0 1\n\n\n1 nan 2 1\n", "non-finite coordinate (line 15)"),
             ("\n\n0 0 0 1\n", "expected 3 data lines, got 2 (line 15)"),
@@ -595,9 +597,9 @@ class TestPlyIO:
             ("0 0 0 1\n1 2\x0b3\n", "vertex row has 3 values, expected 4 (line 13)"),
             ("0 0 0 1\n1\x0cx 2 1\n", "non-numeric coordinate (line 13)"),
         ],
-        ids=["short-row", "non-numeric", "first-bad-row-wins", "blank-lines-short-row",
-             "blank-lines-non-numeric", "blank-lines-non-finite", "blank-lines-truncated",
-             "vertical-tab", "form-feed"],
+        ids=["short-row", "long-row", "non-numeric", "first-bad-row-wins",
+             "blank-lines-short-row", "blank-lines-long-row", "blank-lines-non-numeric",
+             "blank-lines-non-finite", "blank-lines-truncated", "vertical-tab", "form-feed"],
     )
     def test_bad_ascii_vertex_row(self, tmp_path, rows, message):
         # the face element comes first, so vertex rows start one line later

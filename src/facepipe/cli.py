@@ -460,8 +460,7 @@ def main(argv=None) -> int:
     if args.workers < 1:
         parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     try:
-        overrides = {"seed": args.seed} if args.seed is not None else None
-        config = load_config(args.config, overrides)
+        config = load_config(args.config, {"seed": args.seed})
         failures = args.run(args, config)
     except Exception as exc:
         log.error("%s", exc)

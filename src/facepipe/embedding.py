@@ -42,15 +42,12 @@ __all__ = [
 _FVEC_MAGIC = b"FVEC1"
 
 
-class FeatureLookupError(KeyError):
+class FeatureLookupError(LookupError):
     """No stored feature for the requested map hash."""
-
-    def __str__(self):  # KeyError's own __str__ would quote the message
-        return Exception.__str__(self)
 
 
 class FeatureFormatError(ValueError):
-    """Feature file is malformed (bad magic or length)."""
+    """Feature file is malformed (bad magic or length, or a non-finite value)."""
 
 
 def sqrt_normalize(values: np.ndarray) -> np.ndarray:
@@ -248,7 +245,10 @@ def read_feature_file(path) -> np.ndarray:
             f"{path}: expected {13 + 8 * count} bytes for {count} values, "
             f"found {len(raw)}"
         )
-    return np.frombuffer(raw, dtype="<f8", count=count, offset=13).copy()
+    values = np.frombuffer(raw, dtype="<f8", count=count, offset=13).copy()
+    if not np.isfinite(values).all():
+        raise FeatureFormatError(f"{path}: non-finite feature value")
+    return values
 
 
 class ExternalBackend:

@@ -71,6 +71,8 @@ class MorphableModel:
         pe = np.asarray(self.expr_basis, dtype=np.float64)
         if mean.shape != (n, 3) or ps.shape[0] != 3 * n or pe.shape[0] != 3 * n:
             raise ValueError("basis row counts must equal 3 * vertex count")
+        if not np.isfinite(mean).all():
+            raise ValueError("model mean has non-finite coordinates")
         for name, b in (("shape", ps), ("expression", pe)):
             norms = np.linalg.norm(b, axis=0)
             if not np.isfinite(b).all() or (norms == 0).any():

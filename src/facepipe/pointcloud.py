@@ -329,7 +329,7 @@ def load_ply(path) -> PointCloud:
             break
         if line_no > 500:
             raise PlyParseError(f"{path}: runaway header (line {line_no})")
-    if not lines or lines[0] != "ply":
+    if lines[0] != "ply":
         raise PlyParseError(f"{path}: missing 'ply' magic (line 1)")
 
     fmt = None
@@ -394,7 +394,7 @@ def load_ply(path) -> PointCloud:
             values = [float(tok[c]) for tok in rows for c in xyz_cols]
         except (ValueError, IndexError):
             values = None
-        if values is None or set(map(len, rows)) != {len(props)}:
+        if values is None or set(map(len, rows)) != {len(props)} or b"_" in raw[offset:]:
             # Only after a failed pass: find the first bad row, in file order.
             for r, tok in enumerate(rows):
                 if len(tok) != len(props):
@@ -403,6 +403,8 @@ def load_ply(path) -> PointCloud:
                         f"{len(props)} ({line_of(skip + r)})"
                     )
                 try:
+                    if any("_" in tok[c] for c in xyz_cols):  # float() reads "1_5" as 15.0
+                        raise ValueError
                     [float(tok[c]) for c in xyz_cols]
                 except ValueError:
                     raise PlyParseError(

@@ -19,7 +19,6 @@ __all__ = [
     "IcpParams",
     "IcpResult",
     "NoseDetectionError",
-    "IcpDivergenceError",
     "detect_nose_tip",
     "rigid_icp",
     "preprocess_with_result",
@@ -28,10 +27,6 @@ __all__ = [
 
 class NoseDetectionError(RuntimeError):
     """Heuristic nose-tip detection failed; supply a 'nose_tip' landmark."""
-
-
-class IcpDivergenceError(RuntimeError):
-    """Every correspondence was rejected; the clouds do not overlap."""
 
 
 @dataclass(frozen=True)
@@ -119,8 +114,11 @@ def rigid_icp(
     reference points, rejection of pairs beyond rejection_multiplier x the
     median distance (floored at the reference sampling resolution), and a
     closed-form SVD update. Returns the total source-to-reference transform
-    including the initial guess.
+    including the initial guess. An empty source is a `ValueError`; any
+    other keeps at least one pair, so ICP always returns.
     """
+    if len(source) == 0:
+        raise ValueError("ICP source cloud has no points")
     total = init
     moved = init.apply(source.points)
     nearest = WarmNeighbors(reference)
@@ -131,8 +129,6 @@ def rigid_icp(
     for _ in range(params.max_iterations):
         dist, idx = nearest.query_many(moved)
         keep = _accept_mask(dist, params.rejection_multiplier, floor)
-        if not keep.any():
-            raise IcpDivergenceError("all correspondences rejected")
         history.append(float(dist[keep].mean()))
 
         step = RigidTransform.procrustes(moved[keep], reference.points[idx[keep]])
@@ -145,17 +141,14 @@ def rigid_icp(
 
     dist, _ = nearest.query_many(moved)
     keep = _accept_mask(dist, params.rejection_multiplier, floor)
-    rmse = float(np.sqrt(np.mean(dist[keep] ** 2))) if keep.any() else float("inf")
+    rmse = float(np.sqrt(np.mean(dist[keep] ** 2)))
     return IcpResult(total, rmse, len(history), converged, tuple(history))
 
 
 def _accept_mask(dist: np.ndarray, multiplier: float, floor: float) -> np.ndarray:
     # The resolution floor keeps distances at sampling scale from being
     # treated as outliers once the median has collapsed near zero.
-    scale = max(float(np.median(dist)), floor)
-    if scale == 0.0:
-        return dist == 0.0
-    return dist <= multiplier * scale
+    return dist <= multiplier * max(float(np.median(dist)), floor)
 
 
 def preprocess_with_result(

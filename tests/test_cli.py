@@ -29,6 +29,7 @@ from facepipe.depthmap import DepthMap, export_pgm
 from facepipe.embedding import (
     pca_fit_variance,
     pca_transform,
+    read_feature_file,
     sqrt_normalize,
     write_feature_file,
 )
@@ -514,6 +515,22 @@ class TestEvaluate:
         with pytest.raises(FeatureLookupError, match=r"s02_a\.pgm: no feature file") as info:
             cmd_evaluate(rendered, rendered, ext_config, tmp_path / "r")
         assert str(info.value).startswith(str(rendered / "s02_a.pgm"))
+        assert isinstance(info.value, LookupError)
+        assert str(info.value) == info.value.args[0]  # the message, unquoted
+        assert not (tmp_path / "r").exists()
+
+    def test_non_finite_feature_fails_evaluate(self, rendered, tmp_path):
+        from facepipe.embedding import FeatureFormatError
+
+        ext_config = self._external(rendered, tmp_path)
+        digest = hashlib.sha256((rendered / "s01_a.pgm").read_bytes()).hexdigest()
+        feature = tmp_path / "features" / f"{digest}.fvec"
+        values = read_feature_file(feature)
+        values[7] = np.nan
+        write_feature_file(values, feature)
+        with pytest.raises(FeatureFormatError) as info:
+            cmd_evaluate(rendered, rendered, ext_config, tmp_path / "r")
+        assert str(info.value) == f"{feature}: non-finite feature value"
         assert not (tmp_path / "r").exists()
 
     def test_missing_feature_past_the_fit_fails_evaluate(self, rendered, tmp_path):

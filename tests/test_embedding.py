@@ -1,11 +1,16 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import facepipe
 from facepipe.depthmap import DepthMap, export_pgm, load_pgm, pgm_bytes
 from facepipe.embedding import (
     ExternalBackend,
@@ -264,6 +269,33 @@ class TestPcaBitwise:
         assert owned[:rows].tobytes() == (x[:rows] - model.mean).tobytes()
         assert owned[rows:].tobytes() == x[rows:].tobytes()
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads")
+    @pytest.mark.xfail(
+        reason="the Gram product's summation order depends on the BLAS thread count "
+        "(ROADMAP: byte identity at any BLAS thread count)",
+        raises=AssertionError,
+        strict=True,
+    )
+    def test_fit_bits_independent_of_blas_threads(self):
+        # c7's training matrix is 300 x 50176; 300 x 4096 shows the same split
+        code = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from facepipe.embedding import pca_fit\n"
+            "x = np.random.default_rng(7).integers(0, 65536, (300, 4096)) / 257\n"
+            "model = pca_fit(x, 20)\n"
+            "raw = model.components.tobytes() + model.explained_variance.tobytes()\n"
+            "print(hashlib.sha256(raw).hexdigest())\n"
+        )
+        src = str(Path(facepipe.__file__).resolve().parent.parent)
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True, timeout=120)
+            digests.append(run.stdout.strip())
+        assert digests[0] == digests[1]
+
 
 class TestBaselineBackend:
     def test_projection_residual_orthogonal(self, tmp_path):
@@ -414,3 +446,12 @@ class TestExternalBackend:
         values = np.random.default_rng(17).normal(size=33)
         write_feature_file(values, tmp_path / "x.fvec")
         np.testing.assert_array_equal(read_feature_file(tmp_path / "x.fvec"), values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_feature_file_non_finite_value(self, tmp_path, bad):
+        values = np.random.default_rng(19).normal(size=33)
+        values[20] = bad
+        write_feature_file(values, tmp_path / "x.fvec")
+        with pytest.raises(FeatureFormatError) as info:
+            read_feature_file(tmp_path / "x.fvec")
+        assert str(info.value) == f"{tmp_path / 'x.fvec'}: non-finite feature value"

@@ -6,6 +6,7 @@ from facepipe.morphable import (
     FitConfig,
     FitError,
     ModelParams,
+    MorphableModel,
     displacement_field,
     fit,
     load_model,
@@ -108,6 +109,36 @@ class TestToyModel:
             make_toy_model(10, 2, 2, seed=0)
 
 
+class TestMorphableModel:
+    @staticmethod
+    def fields(**change):
+        rng = np.random.default_rng(3)
+        fields = {"mean": rng.normal(size=(4, 3)), "shape_basis": rng.normal(size=(12, 2)),
+                  "expr_basis": rng.normal(size=(12, 3)), "nose_index": 0}
+        fields.update(change)
+        return fields
+
+    def test_valid_fields_build(self):
+        assert MorphableModel(**self.fields()).n_vertices == 4
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"mean": np.full((4, 3), np.nan)}, "mean has non-finite"),
+            ({"mean": np.diag([np.inf, 1.0, 1.0, 1.0])[:, :3]}, "mean has non-finite"),
+            ({"shape_basis": np.full((12, 2), np.nan)}, "shape basis has zero or non-finite"),
+            ({"expr_basis": np.zeros((12, 3))}, "expression basis has zero or non-finite"),
+            ({"shape_basis": np.ones((9, 2))}, "row counts"),
+            ({"nose_index": 4}, "nose_index"),
+        ],
+        ids=["nan-mean", "inf-mean", "nan-shape-basis", "zero-expression-column",
+             "short-basis", "nose-index"],
+    )
+    def test_rejects_invalid_fields(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            MorphableModel(**self.fields(**change))
+
+
 class TestFitConfig:
     @pytest.mark.parametrize(
         "name, value",
@@ -142,6 +173,16 @@ class TestModelFile:
         assert np.array_equal(back.shape_basis, toy.shape_basis)
         assert np.array_equal(back.expr_basis, toy.expr_basis)
         assert back.nose_index == toy.nose_index
+
+    def test_non_finite_mean_rejected_at_load(self, toy, tmp_path):
+        # the mean is the first array after the 29-byte header
+        path = tmp_path / "nan.mlmm"
+        save_model(toy, path)
+        raw = bytearray(path.read_bytes())
+        raw[29:37] = np.float64(np.nan).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="model mean has non-finite coordinates"):
+            load_model(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.mlmm"

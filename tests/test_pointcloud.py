@@ -572,13 +572,16 @@ class TestPlyIO:
             load_ply(f)
 
     def test_unknown_ascii_properties_ignored(self, tmp_path):
-        f = tmp_path / "extra.ply"
-        f.write_text(
-            "ply\nformat ascii 1.0\ncomment made by hand\nelement vertex 1\n"
-            "property float x\nproperty float y\nproperty float z\n"
-            "property float confidence\nend_header\n1 2 3 0.5\n"
-        )
-        np.testing.assert_array_equal(load_ply(f).points[0], [1.0, 2.0, 3.0])
+        # an underscore outside the coordinates sends the load down the error
+        # path, which finds no bad coordinate and loads the cloud
+        for confidence in ("0.5", "0_5"):
+            f = tmp_path / "extra.ply"
+            f.write_text(
+                "ply\nformat ascii 1.0\ncomment made by hand\nelement vertex 1\n"
+                "property float x\nproperty float y\nproperty float z\n"
+                f"property float confidence\nend_header\n1 2 3 {confidence}\n"
+            )
+            np.testing.assert_array_equal(load_ply(f).points[0], [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -587,6 +590,8 @@ class TestPlyIO:
             ("0 0 0 1 5 6\n1 2 3 4\n", "vertex row has 6 values, expected 4 (line 12)"),
             ("0 0 0 1\n1 x 2 1\n", "non-numeric coordinate (line 13)"),
             ("0 x 0 1\n1 2 3\n", "non-numeric coordinate (line 12)"),
+            # float() would read the PEP 515 literal 2_0 as 20.0
+            ("0 0 0 1\n1 2_0 3 1\n", "non-numeric coordinate (line 13)"),
             # blank lines are skipped, but counted
             ("0 0 0 1\n\n\n1 2 3\n", "vertex row has 3 values, expected 4 (line 15)"),
             ("0 0 0 1\n\n1 2 3 4 5\n", "vertex row has 5 values, expected 4 (line 14)"),
@@ -597,7 +602,7 @@ class TestPlyIO:
             ("0 0 0 1\n1 2\x0b3\n", "vertex row has 3 values, expected 4 (line 13)"),
             ("0 0 0 1\n1\x0cx 2 1\n", "non-numeric coordinate (line 13)"),
         ],
-        ids=["short-row", "long-row", "non-numeric", "first-bad-row-wins",
+        ids=["short-row", "long-row", "non-numeric", "first-bad-row-wins", "underscore",
              "blank-lines-short-row", "blank-lines-long-row", "blank-lines-non-numeric",
              "blank-lines-non-finite", "blank-lines-truncated", "vertical-tab", "form-feed"],
     )

@@ -85,8 +85,19 @@ class TestAcceptMask:
     @example(dist=[0.0, 0.0, 0.0], multiplier=6.0, floor=0.0)  # all zero
     @example(dist=[0.0, 0.0, 3.0, 4.0], multiplier=6.0, floor=0.0)  # half zero
     def test_keeps_a_pair(self, dist, multiplier, floor):
+        dist = np.array(dist)
         with np.errstate(over="ignore"):  # a median of two huge distances is inf, and keeps all
-            assert _accept_mask(np.array(dist), multiplier, floor).any()
+            keep = _accept_mask(dist, multiplier, floor)
+            assert keep.any()
+            np.testing.assert_array_equal(keep, accept_mask_two_branch(dist, multiplier, floor))
+
+
+def accept_mask_two_branch(dist, multiplier, floor):
+    """`_accept_mask` as it was with its own branch for a zero scale."""
+    scale = max(float(np.median(dist)), floor)
+    if scale == 0.0:
+        return dist == 0.0
+    return dist <= multiplier * scale
 
 
 class TestDetectNoseTip:
@@ -212,6 +223,11 @@ class TestRigidIcp:
         source = apply_transform(reference, t)
         result = rigid_icp(source, index, params=params)
         assert result.iterations_used <= 3
+
+    def test_empty_source_rejected(self, index):
+        # the one input that keeps no pair; a crop is never empty
+        with pytest.raises(ValueError, match="ICP source cloud has no points"):
+            rigid_icp(PointCloud(np.zeros((0, 3))), index)
 
 
 class TestPreprocess:

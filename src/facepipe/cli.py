@@ -163,7 +163,10 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     """Config from JSON with defaults; `overrides` wins over the file."""
     data = {}
     if path is not None:
-        data = json.loads(Path(path).read_text())
+        try:
+            data = json.loads(Path(path).read_text())
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: {exc}") from None
     if isinstance(data, dict):  # anything else is rejected by _build
         data.update((k, v) for k, v in (overrides or {}).items() if v is not None)
         # an unset or null augment seed inherits the master seed
@@ -338,10 +341,9 @@ def _pca_coded(backend, files: list[Path], n_fit: int, variance_target: float, c
 
     Each map's sqrt-normalized feature goes straight into a row of one owned
     (n_fit, d) matrix, d being the first feature's width; no map is kept.
-    The fit centres that matrix in place. The other maps then pass through
-    its leading rows, at most `n_fit` at a time: embedded, `-= mean`, and
-    projected. `pca_transform` projects each row alone, so the blocks code
-    to the bits one stacked batch would.
+    The fit centres that matrix in place. Each other map is then embedded,
+    centred on the mean and projected on its own. `pca_transform` projects
+    each row alone, so the codes keep the bits one stacked batch would.
     """
     first = sqrt_normalize(backend.embed(files[0]))
     feats = np.empty((n_fit, first.shape[0]))
@@ -351,12 +353,8 @@ def _pca_coded(backend, files: list[Path], n_fit: int, variance_target: float, c
     pca = pca_fit_variance(feats, variance_target, cap)
     coded = np.empty((len(files), pca.k))
     coded[:n_fit] = pca_transform(pca, feats)
-    for start in range(n_fit, len(files), n_fit):
-        block = feats[: min(n_fit, len(files) - start)]
-        for row, f in zip(block, files[start:]):
-            row[:] = sqrt_normalize(backend.embed(f))
-        block -= pca.mean
-        coded[start : start + len(block)] = pca_transform(pca, block)
+    for row, f in zip(coded[n_fit:], files[n_fit:]):
+        row[:] = pca_transform(pca, sqrt_normalize(backend.embed(f)) - pca.mean)
     return pca, coded
 
 

@@ -184,7 +184,8 @@ def fit(model: MorphableModel, scan: PointCloud, config: FitConfig = FitConfig()
     """Alternate nearest correspondences, rigid pose, and ridge solves for alpha, beta.
 
     The scan must already be cropped and roughly aligned; pose starts at
-    identity and absorbs the residual misalignment.
+    identity and absorbs the residual misalignment. The fitted points and
+    residual come from one last correspondence pass after the final update.
     """
     if len(scan) < model.n_vertices / 10:
         raise FitError(
@@ -195,44 +196,37 @@ def fit(model: MorphableModel, scan: PointCloud, config: FitConfig = FitConfig()
     beta = np.zeros(model.ke)
     pose = RigidTransform.identity()
     mean_flat = model.mean.reshape(-1)
+    shape = model.shape_basis @ alpha
+    expr = model.expr_basis @ beta
 
     prev_rmse = None
     converged = False
-    iterations = 0
-    for _ in range(config.max_outer):
-        iterations += 1
-        shape_flat = mean_flat + model.shape_basis @ alpha + model.expr_basis @ beta
-        model_pts = shape_flat.reshape(-1, 3)
+    for updates in range(config.max_outer + 1):
+        model_pts = (mean_flat + shape + expr).reshape(-1, 3)
         posed = pose.apply(model_pts)
         dist, idx = nearest.query_many(posed)
-        targets = scan.points[idx]
         rmse = float(np.sqrt(np.mean(dist**2)))
+        if updates == config.max_outer:
+            break
         if prev_rmse is not None and abs(prev_rmse - rmse) < config.convergence_eps:
             converged = True
             break
         prev_rmse = rmse
 
+        targets = scan.points[idx]
         pose = RigidTransform.procrustes(model_pts, targets)
-        rot = pose.rotation
 
         # alpha solve: targets ~ R @ (mean + Ps a + Pe b) + t
-        rhs = (targets - pose.apply((mean_flat + model.expr_basis @ beta).reshape(-1, 3))).reshape(-1)
-        alpha = _solve_ridge(_rotate_basis(rot, model.shape_basis), rhs, config.ridge)
+        rhs = (targets - pose.apply((mean_flat + expr).reshape(-1, 3))).reshape(-1)
+        alpha = _solve_ridge(_rotate_basis(pose.rotation, model.shape_basis), rhs, config.ridge)
+        shape = model.shape_basis @ alpha
 
-        rhs = (targets - pose.apply((mean_flat + model.shape_basis @ alpha).reshape(-1, 3))).reshape(-1)
-        beta = _solve_ridge(_rotate_basis(rot, model.expr_basis), rhs, config.ridge)
+        rhs = (targets - pose.apply((mean_flat + shape).reshape(-1, 3))).reshape(-1)
+        beta = _solve_ridge(_rotate_basis(pose.rotation, model.expr_basis), rhs, config.ridge)
+        expr = model.expr_basis @ beta
 
-    params = ModelParams(alpha, beta)
-    fitted_pts = pose.apply(synthesize(model, params).points)
-    dist, _ = nearest.query_many(fitted_pts)
-    return FitResult(
-        params=params,
-        pose=pose,
-        fitted_points=PointCloud(fitted_pts),
-        residual_rmse=float(np.sqrt(np.mean(dist**2))),
-        converged=converged,
-        iterations_used=iterations,
-    )
+    iterations = updates + 1 if converged else updates
+    return FitResult(ModelParams(alpha, beta), pose, PointCloud(posed), rmse, converged, iterations)
 
 
 def random_expression(rng: np.random.Generator, ke: int = 29) -> np.ndarray:
@@ -396,9 +390,12 @@ def load_model(path) -> MorphableModel:
         arrays.append(np.frombuffer(raw, dtype="<f8", count=count, offset=offset))
         offset += 8 * count
     (nose_index,) = struct.unpack_from("<q", raw, offset)
-    return MorphableModel(
-        arrays[0].reshape(n, 3),
-        arrays[1].reshape((3 * n, ks), order="F"),
-        arrays[2].reshape((3 * n, ke), order="F"),
-        int(nose_index),
-    )
+    try:
+        return MorphableModel(
+            arrays[0].reshape(n, 3),
+            arrays[1].reshape((3 * n, ks), order="F"),
+            arrays[2].reshape((3 * n, ke), order="F"),
+            int(nose_index),
+        )
+    except ValueError as exc:  # a model check failed: name the file
+        raise ValueError(f"{path}: {exc}") from None

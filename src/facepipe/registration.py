@@ -114,7 +114,8 @@ def rigid_icp(
     reference points, rejection of pairs beyond rejection_multiplier x the
     median distance (floored at the reference sampling resolution), and a
     closed-form SVD update. Returns the total source-to-reference transform
-    including the initial guess. An empty source is a `ValueError`; any
+    including the initial guess; the rmse comes from one last correspondence
+    pass after the final update. An empty source is a `ValueError`; any
     other keeps at least one pair, so ICP always returns.
     """
     if len(source) == 0:
@@ -126,21 +127,18 @@ def rigid_icp(
     history: list[float] = []  # mean accepted distance, one per iteration
     converged = False
 
-    for _ in range(params.max_iterations):
+    for _ in range(params.max_iterations + 1):
         dist, idx = nearest.query_many(moved)
         keep = _accept_mask(dist, params.rejection_multiplier, floor)
+        if converged or len(history) == params.max_iterations:
+            break
         history.append(float(dist[keep].mean()))
 
         step = RigidTransform.procrustes(moved[keep], reference.points[idx[keep]])
         moved = step.apply(moved)
         total = step.compose(total)
+        converged = len(history) > 1 and abs(history[-2] - history[-1]) < params.convergence_eps
 
-        if len(history) > 1 and abs(history[-2] - history[-1]) < params.convergence_eps:
-            converged = True
-            break
-
-    dist, _ = nearest.query_many(moved)
-    keep = _accept_mask(dist, params.rejection_multiplier, floor)
     rmse = float(np.sqrt(np.mean(dist[keep] ** 2)))
     return IcpResult(total, rmse, len(history), converged, tuple(history))
 

@@ -180,6 +180,22 @@ class TestConfig:
         assert main(["preprocess", str(tmp_path / "raw"), str(out), "--config", str(path)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"{not json", "Expecting property name"), (b"\xff\xfe{}", "'utf-8' codec can't decode")],
+        ids=["not-json", "not-utf8"],
+    )
+    def test_unreadable_file_is_named(self, toy, tmp_path, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+        write_raw_scans(toy, tmp_path / "raw", n_subjects=1, scans_each=1)
+        out = tmp_path / "pp"
+        assert main(["preprocess", str(tmp_path / "raw"), str(out), "--config", str(path)]) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["[1]", "5", "null"], ids=["list", "number", "null"])
     def test_top_level_must_be_an_object(self, tmp_path, text):
         path = tmp_path / "c.json"
@@ -535,7 +551,7 @@ class TestEvaluate:
 
     def test_missing_feature_past_the_fit_fails_evaluate(self, rendered, tmp_path):
         # gallery mode: the 4 gallery maps are fitted first, then 9 probes are
-        # embedded 4 at a time; the last one, in the third block, has no feature
+        # coded one at a time; the last one has no feature
         from facepipe.embedding import FeatureLookupError
 
         ext_config = self._external(rendered, tmp_path, pca_mode="gallery")
@@ -562,9 +578,9 @@ class TestEvaluate:
         # One owned (n_fit, D) feature matrix plus the PCA model: a list of
         # rows, a stacked copy, a copy of the fit rows or a centred batch would
         # each add up to N*D*8 bytes. Shaped like FRGC: one gallery map and
-        # several probe maps per identity, wide features. In gallery mode the
-        # probes pass through the gallery's rows, so the peak must not grow
-        # with the probe count.
+        # several probe maps per identity, wide features. In gallery mode each
+        # probe is coded on its own, so the peak must not grow with the probe
+        # count.
         ids, dim = 8, 4096
         gallery, probes, features = (tmp_path / d for d in ("gallery", "probes", "features"))
         for folder in (gallery, probes, features):
@@ -582,6 +598,9 @@ class TestEvaluate:
             "matching": {"pca_mode": mode},
         }))
         config = load_config(cfg_path)
+        # a first run interns the strings evaluate makes, so a resize of the
+        # interpreter's string table falls outside the measured run
+        assert cmd_evaluate(gallery, probes, config, tmp_path / "warm") == 0
         tracemalloc.start()
         try:
             assert cmd_evaluate(gallery, probes, config, tmp_path / "report") == 0
@@ -595,7 +614,7 @@ class TestEvaluate:
 
 
 def _pca_coded_stacked(backend, files, n_fit, variance_target, cap):
-    """`_pca_coded` as it was before block-wise coding: every map in one (n, d) matrix."""
+    """`_pca_coded` with every map in one (n, d) matrix, coded as one batch."""
     first = sqrt_normalize(backend.embed(files[0]))
     feats = np.empty((len(files), first.shape[0]))
     feats[0] = first
@@ -617,7 +636,7 @@ class _DictBackend:
 
 
 class TestBlockCoding:
-    """The maps outside the fit set, coded a fit set at a time, bit for bit as one batch."""
+    """The maps outside the fit set, coded one at a time, bit for bit as one batch."""
 
     @staticmethod
     def _assert_codes_equal(n_fit, n_other, width, target, seed):
@@ -638,8 +657,7 @@ class TestBlockCoding:
            target=st.floats(0.05, 1.0), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_blocks_code_as_one_batch(self, seed, n_fit, width, target, data):
-        # 0 to 3 * n_fit other maps: none (n_fit = N), fewer than one fit set,
-        # exactly one, and counts that are not a multiple of it
+        # 0 to 3 * n_fit other maps, none among them (n_fit = N)
         n_other = data.draw(st.integers(0, 3 * n_fit), label="n_other")
         self._assert_codes_equal(n_fit, n_other, width, target, seed)
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,11 @@ from facepipe.morphable import (
     DisplacementField,
     FitConfig,
     FitError,
+    FitResult,
     ModelParams,
     MorphableModel,
+    _rotate_basis,
+    _solve_ridge,
     displacement_field,
     fit,
     load_model,
@@ -21,6 +26,7 @@ from facepipe.pointcloud import (
     NeighborIndex,
     PointCloud,
     RigidTransform,
+    WarmNeighbors,
     apply_transform,
     rotation_zyx,
 )
@@ -181,8 +187,18 @@ class TestModelFile:
         raw = bytearray(path.read_bytes())
         raw[29:37] = np.float64(np.nan).tobytes()
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="model mean has non-finite coordinates"):
+        with pytest.raises(ValueError) as info:
             load_model(path)
+        assert str(info.value).startswith(f"{path}: model mean has non-finite coordinates")
+
+    def test_nose_index_out_of_range_rejected_at_load(self, toy, tmp_path):
+        # the nose index is the file's last 8 bytes
+        path = tmp_path / "nose.mlmm"
+        save_model(toy, path)
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<q", 10**6))
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: nose_index out of range")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.mlmm"
@@ -230,6 +246,45 @@ class TestRandomExpression:
         assert counts == set(range(1, 30))
 
 
+def fit_two_phase(model, scan, config):
+    """`fit` written as an update loop followed by a separate measuring tail."""
+    nearest = WarmNeighbors(NeighborIndex(scan.points))
+    alpha = np.zeros(model.ks)
+    beta = np.zeros(model.ke)
+    pose = RigidTransform.identity()
+    mean_flat = model.mean.reshape(-1)
+    prev_rmse = None
+    converged = False
+    iterations = 0
+    for _ in range(config.max_outer):
+        iterations += 1
+        shape_flat = mean_flat + model.shape_basis @ alpha + model.expr_basis @ beta
+        model_pts = shape_flat.reshape(-1, 3)
+        posed = pose.apply(model_pts)
+        dist, idx = nearest.query_many(posed)
+        targets = scan.points[idx]
+        rmse = float(np.sqrt(np.mean(dist**2)))
+        if prev_rmse is not None and abs(prev_rmse - rmse) < config.convergence_eps:
+            converged = True
+            break
+        prev_rmse = rmse
+
+        pose = RigidTransform.procrustes(model_pts, targets)
+        rot = pose.rotation
+
+        rhs = (targets - pose.apply((mean_flat + model.expr_basis @ beta).reshape(-1, 3))).reshape(-1)
+        alpha = _solve_ridge(_rotate_basis(rot, model.shape_basis), rhs, config.ridge)
+
+        rhs = (targets - pose.apply((mean_flat + model.shape_basis @ alpha).reshape(-1, 3))).reshape(-1)
+        beta = _solve_ridge(_rotate_basis(rot, model.expr_basis), rhs, config.ridge)
+
+    params = ModelParams(alpha, beta)
+    fitted_pts = pose.apply(synthesize(model, params).points)
+    dist, _ = nearest.query_many(fitted_pts)
+    return FitResult(params, pose, PointCloud(fitted_pts), float(np.sqrt(np.mean(dist**2))),
+                     converged, iterations)
+
+
 class TestFit:
     def test_self_consistency(self, toy):
         rng = np.random.default_rng(2)
@@ -259,10 +314,8 @@ class TestFit:
         assert err < 0.2
         assert result.residual_rmse < 1e-2
 
-    def test_equals_fresh_queries_every_iteration(self, toy, monkeypatch):
-        # an index answers query_many afresh: the warm-started fit must equal it bitwise
-        import facepipe.morphable
-
+    @staticmethod
+    def _noisy_scans(toy):
         rng = np.random.default_rng(8)
         scans = []
         for _ in range(3):
@@ -270,17 +323,36 @@ class TestFit:
             t = RigidTransform(rotation_zyx(*rng.uniform(-3, 3, 3)), rng.uniform(-2, 2, 3))
             noise = rng.normal(size=scan.points.shape) * 0.3
             scans.append(PointCloud(t.apply(scan.points) + noise))
+        return scans
+
+    @staticmethod
+    def _assert_bitwise_equal(got, want):
+        for a, b in ((got.params.alpha, want.params.alpha), (got.params.beta, want.params.beta),
+                     (got.pose.rotation, want.pose.rotation),
+                     (got.pose.translation, want.pose.translation),
+                     (got.fitted_points.points, want.fitted_points.points)):
+            assert a.tobytes() == b.tobytes()
+        assert (got.residual_rmse, got.converged, got.iterations_used) == (
+            want.residual_rmse, want.converged, want.iterations_used)
+
+    def test_equals_fresh_queries_every_iteration(self, toy, monkeypatch):
+        # an index answers query_many afresh: the warm-started fit must equal it bitwise
+        import facepipe.morphable
+
+        scans = self._noisy_scans(toy)
         warm = [fit(toy, scan) for scan in scans]
         monkeypatch.setattr(facepipe.morphable, "WarmNeighbors", lambda index: index)
         for got, scan in zip(warm, scans):
-            want = fit(toy, scan)
-            for a, b in ((got.params.alpha, want.params.alpha), (got.params.beta, want.params.beta),
-                         (got.pose.rotation, want.pose.rotation),
-                         (got.pose.translation, want.pose.translation),
-                         (got.fitted_points.points, want.fitted_points.points)):
-                assert a.tobytes() == b.tobytes()
-            assert (got.residual_rmse, got.converged, got.iterations_used) == (
-                want.residual_rmse, want.converged, want.iterations_used)
+            self._assert_bitwise_equal(got, fit(toy, scan))
+
+    @pytest.mark.parametrize(
+        "config", [FitConfig(max_outer=1), FitConfig(max_outer=2), FitConfig(max_outer=6), FitConfig()],
+        ids=["one-update", "two-updates", "six-updates", "default"])
+    def test_equals_two_phase_fit(self, toy, config):
+        # the loop's last, measuring pass gives the result the separate tail gave;
+        # the second scan would converge on a seventh pass, which six updates stop short of
+        for scan in self._noisy_scans(toy):
+            self._assert_bitwise_equal(fit(toy, scan, config), fit_two_phase(toy, scan, config))
 
     def test_too_few_points(self, toy):
         with pytest.raises(FitError):

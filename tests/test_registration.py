@@ -208,7 +208,7 @@ class TestRigidIcp:
             if k % 3 == 2:
                 points = np.round(points)
             source = PointCloud(points)
-            params = IcpParams(max_iterations=3) if k % 4 == 3 else IcpParams()
+            params = IcpParams(max_iterations=k % 4) if k % 4 else IcpParams()
             got = rigid_icp(source, index, params=params)
             want = icp_reference(source, index, RigidTransform.identity(), params)
             assert got.transform.rotation.tobytes() == want.transform.rotation.tobytes()

@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -339,22 +340,26 @@ def _make_backend(config: PipelineConfig, gallery_files: list[Path]):
 def _pca_coded(backend, files: list[Path], n_fit: int, variance_target: float, cap: int):
     """The post-embedding PCA, fitted on the first `n_fit` maps, and every map coded by it.
 
-    Each map's sqrt-normalized feature goes straight into a row of one owned
-    (n_fit, d) matrix, d being the first feature's width; no map is kept.
-    The fit centres that matrix in place. Each other map is then embedded,
-    centred on the mean and projected on its own. `pca_transform` projects
-    each row alone, so the codes keep the bits one stacked batch would.
+    The maps go in batches of at most `n_fit` through the rows of one owned
+    (n_fit, d) matrix, d being the first feature's width; no map is kept. The
+    fit centres the first batch, the fit set, in place; each later batch is
+    centred on the fit's mean in place. One `pca_transform` call projects each
+    batch row by row, so the codes keep the bits one stacked batch would.
     """
-    first = sqrt_normalize(backend.embed(files[0]))
-    feats = np.empty((n_fit, first.shape[0]))
-    feats[0] = first
-    for row, f in zip(feats[1:], files[1:n_fit]):
-        row[:] = sqrt_normalize(backend.embed(f))
-    pca = pca_fit_variance(feats, variance_target, cap)
-    coded = np.empty((len(files), pca.k))
-    coded[:n_fit] = pca_transform(pca, feats)
-    for row, f in zip(coded[n_fit:], files[n_fit:]):
-        row[:] = pca_transform(pca, sqrt_normalize(backend.embed(f)) - pca.mean)
+    features = (sqrt_normalize(backend.embed(f)) for f in files)
+    first = next(features)
+    rows = np.empty((n_fit, first.shape[0]))
+    features = itertools.chain([first], features)
+    for start in range(0, len(files), n_fit):
+        batch = rows[: len(files) - start]  # the last batch may fill only part
+        for row, feature in zip(batch, features):
+            row[:] = feature
+        if start == 0:
+            pca = pca_fit_variance(batch, variance_target, cap)
+            coded = np.empty((len(files), pca.k))
+        else:
+            batch -= pca.mean
+        coded[start : start + len(batch)] = pca_transform(pca, batch)
     return pca, coded
 
 

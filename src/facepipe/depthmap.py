@@ -261,6 +261,15 @@ def read_pgm(path) -> tuple[np.ndarray, bytes]:
     followed by the first 2*w*h body bytes, which is exactly what
     `pgm_bytes` writes; the values are a big-endian uint16 view of them.
     """
+    width, height, body = _pgm_parts(path)
+    canonical = _pgm_header(width, height)
+    data = canonical + body
+    values = np.frombuffer(data, dtype=">u2", offset=len(canonical))
+    return values.reshape(height, width), data
+
+
+def _pgm_parts(path) -> tuple[int, int, memoryview]:
+    """Width, height and a view of the 2*w*h body bytes of a 16-bit binary PGM, once checked."""
     raw = Path(path).read_bytes()
     if raw[:2] != b"P5":
         raise ValueError(f"{path}: not a binary PGM")
@@ -279,10 +288,7 @@ def read_pgm(path) -> tuple[np.ndarray, bytes]:
     body = header.end()
     if len(raw) - body < 2 * count:
         raise ValueError(f"{path}: truncated PGM body")
-    canonical = _pgm_header(width, height)
-    data = canonical + raw[body : body + 2 * count]
-    values = np.frombuffer(data, dtype=">u2", count=count, offset=len(canonical))
-    return values.reshape(height, width), data
+    return width, height, memoryview(raw)[body : body + 2 * count]
 
 
 def pgm_depth(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

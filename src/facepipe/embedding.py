@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from facepipe.depthmap import pgm_depth, read_pgm
+from facepipe.depthmap import _pgm_header, _pgm_parts, pgm_depth, read_pgm
 from facepipe.pointcloud import _set_read_only, _whole_file
 
 __all__ = [
@@ -222,7 +222,10 @@ def baseline_train(files, d: int, map_size: int = 224) -> BaselineBackend:
 
 def feature_hash(path) -> str:
     """Lowercase hex SHA-256 of a PGM's canonical bytes; of a whole `export_pgm` file."""
-    return hashlib.sha256(read_pgm(path)[1]).hexdigest()
+    width, height, body = _pgm_parts(path)  # the body is hashed in place, not joined
+    digest = hashlib.sha256(_pgm_header(width, height))
+    digest.update(body)
+    return digest.hexdigest()
 
 
 def write_feature_file(values: np.ndarray, path) -> None:
@@ -268,9 +271,10 @@ class ExternalBackend:
         """Features of a PGM file, keyed on `feature_hash(path)`; no map is decoded."""
         digest = feature_hash(path)
         feature = self._dir / f"{digest}.fvec"
-        if not feature.exists():
-            raise FeatureLookupError(f"{path}: no feature file for map hash {digest}")
-        values = read_feature_file(feature)
+        try:
+            values = read_feature_file(feature)
+        except FileNotFoundError:
+            raise FeatureLookupError(f"{path}: no feature file for map hash {digest}") from None
         if self._dimension is None:
             self._dimension = values.shape[0]
         elif values.shape[0] != self._dimension:

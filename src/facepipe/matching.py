@@ -105,8 +105,12 @@ def cmc(scores: IdentityDistances, true_ids) -> np.ndarray:
     own = scores.own(list(true_ids))
     if own.shape[0] == 0:
         raise ValueError("need at least one probe")
-    order = np.argsort(scores.values, axis=1, kind="stable")
-    ranks = np.take_along_axis(own, order, axis=1).argmax(axis=1)
+    # a probe's rank: the identities nearer than its own, plus those as near that come first
+    column = own.argmax(axis=1)[:, None]
+    distance = np.take_along_axis(scores.values, column, axis=1)
+    ahead = scores.values < distance
+    ahead |= (scores.values == distance) & (np.arange(own.shape[1]) < column)
+    ranks = np.count_nonzero(ahead, axis=1)
     return np.cumsum(np.bincount(ranks, minlength=own.shape[1])) / own.shape[0]
 
 

@@ -549,25 +549,61 @@ class TestEvaluate:
         assert str(info.value) == f"{feature}: non-finite feature value"
         assert not (tmp_path / "r").exists()
 
-    def test_missing_feature_past_the_fit_fails_evaluate(self, rendered, tmp_path):
-        # gallery mode: the 4 gallery maps are fitted first, then 9 probes are
-        # coded one at a time; the last one has no feature
-        from facepipe.embedding import FeatureLookupError
-
-        ext_config = self._external(rendered, tmp_path, pca_mode="gallery")
+    @staticmethod
+    def _probes(tmp_path, count):
+        """`count` random probe maps of the 4 rendered subjects, each with a
+        feature file beside `_external`'s; returns their folder and files."""
         probe_dir = tmp_path / "probes"
         probe_dir.mkdir()
         rng = np.random.default_rng(5)
-        for i in range(9):
-            missing = probe_dir / f"s{i * 4 // 9:02d}_p{i}.pgm"
-            export_pgm(DepthMap(rng.uniform(0, 255, (8, 8)), np.ones((8, 8), bool)), missing)
-            if i < 8:
-                digest = hashlib.sha256(missing.read_bytes()).hexdigest()
-                write_feature_file(rng.normal(size=64), tmp_path / "features" / f"{digest}.fvec")
+        files = []
+        for i in range(count):
+            pgm = probe_dir / f"s{i * 4 // count:02d}_p{i}.pgm"
+            export_pgm(DepthMap(rng.uniform(0, 255, (8, 8)), np.ones((8, 8), bool)), pgm)
+            digest = hashlib.sha256(pgm.read_bytes()).hexdigest()
+            write_feature_file(rng.normal(size=64), tmp_path / "features" / f"{digest}.fvec")
+            files.append(pgm)
+        return probe_dir, files
+
+    def test_missing_feature_past_the_fit_fails_evaluate(self, rendered, tmp_path):
+        # gallery mode: the 4 gallery maps are fitted first, then 9 probes are
+        # coded in batches of 4; the last one, alone in its batch, has no feature
+        from facepipe.embedding import FeatureLookupError
+
+        ext_config = self._external(rendered, tmp_path, pca_mode="gallery")
+        probe_dir, probes = self._probes(tmp_path, 9)
+        digest = hashlib.sha256(probes[-1].read_bytes()).hexdigest()
+        (tmp_path / "features" / f"{digest}.fvec").unlink()
         with pytest.raises(FeatureLookupError) as info:
             cmd_evaluate(rendered, probe_dir, ext_config, tmp_path / "r")
-        assert str(info.value).startswith(f"{missing}: no feature file")
+        assert str(info.value).startswith(f"{probes[-1]}: no feature file")
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "mode, n_probes, batches",
+        [("gallery", 4, [4, 4]), ("gallery", 9, [4, 4, 4, 1]), ("union", 9, [13])],
+        ids=["gallery-full-batches", "gallery-partial-batch", "union-one-batch"],
+    )
+    def test_codes_in_fit_set_batches(
+        self, rendered, tmp_path, monkeypatch, mode, n_probes, batches
+    ):
+        # one projection per batch of at most n_fit maps, ceil(N / n_fit) in
+        # all; coding each map outside the fit set alone would make one per map
+        import facepipe.cli
+
+        ext_config = self._external(rendered, tmp_path, pca_mode=mode)
+        probe_dir, _ = self._probes(tmp_path, n_probes)
+        rows = []
+
+        def counted(model, centred):
+            rows.append(len(centred))
+            return pca_transform(model, centred)
+
+        monkeypatch.setattr(facepipe.cli, "pca_transform", counted)
+        assert cmd_evaluate(rendered, probe_dir, ext_config, tmp_path / "r") == 0
+        n_maps, n_fit = 4 + n_probes, (4 if mode == "gallery" else 4 + n_probes)
+        assert len(rows) == -(-n_maps // n_fit)
+        assert rows == batches
 
     @pytest.mark.parametrize(
         "mode, probes_each",
@@ -578,9 +614,9 @@ class TestEvaluate:
         # One owned (n_fit, D) feature matrix plus the PCA model: a list of
         # rows, a stacked copy, a copy of the fit rows or a centred batch would
         # each add up to N*D*8 bytes. Shaped like FRGC: one gallery map and
-        # several probe maps per identity, wide features. In gallery mode each
-        # probe is coded on its own, so the peak must not grow with the probe
-        # count.
+        # several probe maps per identity, wide features. In gallery mode the
+        # probes are coded in batches through the fit rows, so the peak must
+        # not grow with the probe count.
         ids, dim = 8, 4096
         gallery, probes, features = (tmp_path / d for d in ("gallery", "probes", "features"))
         for folder in (gallery, probes, features):
@@ -625,6 +661,21 @@ def _pca_coded_stacked(backend, files, n_fit, variance_target, cap):
     return pca, pca_transform(pca, feats)
 
 
+def _pca_coded_per_map(backend, files, n_fit, variance_target, cap):
+    """`_pca_coded` coding each map outside the fit set alone, as one row."""
+    first = sqrt_normalize(backend.embed(files[0]))
+    feats = np.empty((n_fit, first.shape[0]))
+    feats[0] = first
+    for row, f in zip(feats[1:], files[1:n_fit]):
+        row[:] = sqrt_normalize(backend.embed(f))
+    pca = pca_fit_variance(feats, variance_target, cap)
+    coded = np.empty((len(files), pca.k))
+    coded[:n_fit] = pca_transform(pca, feats)
+    for row, f in zip(coded[n_fit:], files[n_fit:]):
+        row[:] = pca_transform(pca, sqrt_normalize(backend.embed(f)) - pca.mean)
+    return pca, coded
+
+
 class _DictBackend:
     """Feature lookup from a dict, in place of a feature directory."""
 
@@ -636,7 +687,7 @@ class _DictBackend:
 
 
 class TestBlockCoding:
-    """The maps outside the fit set, coded one at a time, bit for bit as one batch."""
+    """The maps coded in fit-set batches, bit for bit as each map alone and as one batch."""
 
     @staticmethod
     def _assert_codes_equal(n_fit, n_other, width, target, seed):
@@ -644,13 +695,14 @@ class TestBlockCoding:
         files = [f"m{i:03d}.pgm" for i in range(n_fit + n_other)]
         backend = _DictBackend({f: rng.normal(size=width) + 2.0 for f in files})
         cap = max(1, n_fit - 1)
-        reference, expected = _pca_coded_stacked(backend, files, n_fit, target, cap)
         model, coded = _pca_coded(backend, files, n_fit, target, cap)
-        assert model.mean.tobytes() == reference.mean.tobytes()
-        assert model.components.tobytes() == reference.components.tobytes()
-        assert model.explained_variance.tobytes() == reference.explained_variance.tobytes()
-        assert coded.shape == expected.shape == (n_fit + n_other, model.k)
-        assert coded.tobytes() == expected.tobytes()
+        assert coded.shape == (n_fit + n_other, model.k)
+        for reference_coding in (_pca_coded_stacked, _pca_coded_per_map):
+            reference, expected = reference_coding(backend, files, n_fit, target, cap)
+            assert model.mean.tobytes() == reference.mean.tobytes()
+            assert model.components.tobytes() == reference.components.tobytes()
+            assert model.explained_variance.tobytes() == reference.explained_variance.tobytes()
+            assert coded.tobytes() == expected.tobytes()
         return model
 
     @given(seed=st.integers(0, 2**32 - 1), n_fit=st.integers(2, 12), width=st.integers(1, 40),
@@ -661,10 +713,21 @@ class TestBlockCoding:
         n_other = data.draw(st.integers(0, 3 * n_fit), label="n_other")
         self._assert_codes_equal(n_fit, n_other, width, target, seed)
 
+    @pytest.mark.parametrize(
+        "n_other", [0, 1, 5, 10, 23],
+        ids=["fit-set-only", "one", "partial", "full", "two-and-partial"],
+    )
+    def test_batch_shapes_code_as_one_batch(self, n_other):
+        # n_fit 5: no batch after the fit set, a lone map, one partial batch,
+        # batches that fill the fit rows, and full batches ending in a partial one
+        self._assert_codes_equal(5, n_other, 24, 0.9, 11)
+
     def test_wide_features_code_as_one_batch(self):
-        # the gemv sizes of FRGC-shaped evaluates: 4096-d, over a hundred components
+        # the gemv sizes of FRGC-shaped evaluates: 4096-d, over a hundred
+        # components, two full batches after the fit set and a partial one
         model = self._assert_codes_equal(120, 250, 4096, 1.0, 7)
         assert model.k >= 100
+
 
 class TestWholeFiles:
     """Each output file appears whole or not at all, with a plain write's permissions."""

@@ -613,3 +613,69 @@ class TestPgmFuzz:
         assert dmap is not None
         canonical = b"P5\n%d %d\n65535\n" % (width, height) + values.tobytes()
         assert pgm_bytes(dmap) == read_pgm(path)[1] == canonical
+
+
+_netpbm_spaces = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+_netpbm_comments = st.builds(
+    lambda text, end: b"#" + text + end,
+    st.binary(max_size=8).filter(lambda text: b"\n" not in text and b"\r" not in text),
+    st.sampled_from([b"\n", b"\r"]),
+)
+_netpbm_separators = st.lists(
+    st.one_of(_netpbm_spaces, _netpbm_comments), min_size=1, max_size=4
+).map(b"".join)
+
+
+class TestPgmHeaderParser:
+    """`feature_hash` and `read_pgm` read a PGM through one header parser."""
+
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        seps=st.tuples(_netpbm_separators, _netpbm_separators, _netpbm_separators),
+        raster_sep=st.one_of(_netpbm_spaces, _netpbm_comments),
+        extra=st.binary(max_size=9),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hash_is_of_the_canonical_bytes(
+        self, tmp_path_factory, shape, seps, raster_sep, extra, data
+    ):
+        height, width = shape
+        body = data.draw(st.binary(min_size=2 * width * height, max_size=2 * width * height))
+        header = b"P5%s%d%s%d%s65535%s" % (seps[0], width, seps[1], height, seps[2], raster_sep)
+        path = tmp_path_factory.mktemp("pgm") / "m.pgm"
+        path.write_bytes(header + body + extra)
+        values, canonical = read_pgm(path)
+        assert canonical == b"P5\n%d %d\n65535\n" % (width, height) + body
+        assert values.shape == shape and values.tobytes() == body
+        assert feature_hash(path) == hashlib.sha256(canonical).hexdigest()
+
+    @given(
+        defect=st.sampled_from(["magic", "maxval", "size", "truncated"]),
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_malformed_file_raises_one_error(self, tmp_path_factory, defect, shape, data):
+        tokens = [b"P5", b"%d" % shape[1], b"%d" % shape[0], b"65535"]
+        size = 2 * shape[0] * shape[1]
+        if defect == "magic":
+            tokens[0] = data.draw(st.sampled_from([b"P2", b"P6", b"p5", b"5P", b""]))
+        elif defect == "maxval":
+            tokens[3] = b"%d" % data.draw(st.integers(0, 10**6).filter(lambda v: v != 65535))
+        elif defect == "size":
+            bad = data.draw(st.sampled_from([b"0", b"-1", b"1.5", b"+2", b"0x4", b"", b"1_0"]))
+            tokens[data.draw(st.sampled_from([1, 2]))] = bad
+        else:
+            size = data.draw(st.integers(0, size - 1))
+        path = tmp_path_factory.mktemp("pgm") / "bad.pgm"
+        path.write_bytes(b"\n".join(tokens) + b"\n" + b"\x01" * size)
+        with pytest.raises(ValueError) as read_error:
+            read_pgm(path)
+        with pytest.raises(ValueError) as hash_error:
+            feature_hash(path)
+        message = str(read_error.value)
+        assert str(hash_error.value) == message
+        expected = {"magic": "not a binary PGM", "maxval": "expected 16-bit PGM, maxval",
+                    "size": "malformed PGM header", "truncated": "truncated PGM body"}
+        assert message.startswith(f"{path}: {expected[defect]}")

@@ -418,6 +418,26 @@ class TestExternalBackend:
             backend.embed(pgm)
         assert str(info.value) == f"{pgm}: no feature file for map hash {digest}"
 
+    def test_missing_feature_is_read_not_stat(self, tmp_path, monkeypatch):
+        # the lookup opens the feature file itself: no stat before the read,
+        # and the FileNotFoundError behind a missing one is not chained
+        rng = np.random.default_rng(19)
+        pgm, digest = self._normalized_pgm(rng, tmp_path / "m.pgm")
+        backend = ExternalBackend(tmp_path)
+        checked, exists = [], Path.exists
+
+        def recorded(path, *args, **kwargs):
+            checked.append(path)
+            return exists(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "exists", recorded)
+        with pytest.raises(FeatureLookupError) as info:
+            backend.embed(pgm)
+        monkeypatch.undo()
+        assert checked == []
+        assert str(info.value) == f"{pgm}: no feature file for map hash {digest}"
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
     def test_corrupt_length(self, tmp_path):
         rng = np.random.default_rng(16)
         pgm, digest = self._normalized_pgm(rng, tmp_path / "m.pgm")

@@ -139,7 +139,51 @@ class TestIdentityDistances:
         assert gallery.identity_distances(np.array([1.0, 0.0])).values.shape == (1, 2)
 
 
+def cmc_argsort(scores, true_ids):
+    """`cmc` ranking every row with a stable argsort, as it did before counting."""
+    own = scores.own(list(true_ids))
+    order = np.argsort(scores.values, axis=1, kind="stable")
+    ranks = np.take_along_axis(own, order, axis=1).argmax(axis=1)
+    return np.cumsum(np.bincount(ranks, minlength=own.shape[1])) / own.shape[0]
+
+
 class TestCmc:
+    @given(
+        n_subjects=st.integers(1, 7),
+        n_probes=st.integers(1, 12),
+        top=st.integers(0, 3),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_counted_ranks_equal_argsort(self, n_subjects, n_probes, top, data):
+        # integer distances from 0..top: ties between identities are common
+        subjects = tuple(f"s{i}" for i in range(n_subjects))
+        values = np.array(data.draw(st.lists(
+            st.integers(0, top), min_size=n_subjects * n_probes, max_size=n_subjects * n_probes,
+        )), dtype=float).reshape(n_probes, n_subjects)
+        true_ids = data.draw(st.lists(st.sampled_from(subjects), min_size=n_probes,
+                                      max_size=n_probes))
+        scores = IdentityDistances(subjects, values)
+        assert cmc(scores, true_ids).tobytes() == cmc_argsort(scores, true_ids).tobytes()
+
+    @given(
+        owners=st.lists(st.sampled_from("abcd"), min_size=1, max_size=10),
+        dim=st.integers(1, 3),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_counted_ranks_equal_argsort_over_a_gallery(self, owners, dim, data):
+        # repeated gallery subjects; small positive integer vectors, so that
+        # parallel entries and probes give equal distances
+        vectors = st.lists(st.integers(1, 2), min_size=dim, max_size=dim)
+        gallery = Gallery((sid, data.draw(vectors)) for sid in owners)
+        n_probes = data.draw(st.integers(1, 8))
+        probes = np.array([data.draw(vectors) for _ in range(n_probes)], dtype=float)
+        true_ids = data.draw(st.lists(st.sampled_from(owners), min_size=n_probes,
+                                      max_size=n_probes))
+        scores = gallery.identity_distances(probes)
+        assert cmc(scores, true_ids).tobytes() == cmc_argsort(scores, true_ids).tobytes()
+
     def test_all_rank_one(self):
         scores = scores_from_rankings(["a", "b"], ["a", "b"], ["b", "a"])
         np.testing.assert_allclose(cmc(scores, ["a", "b"]), [1.0, 1.0])

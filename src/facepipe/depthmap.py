@@ -23,7 +23,6 @@ __all__ = [
     "export_pgm",
     "pgm_bytes",
     "read_pgm",
-    "pgm_depth",
     "load_pgm",
 ]
 
@@ -236,7 +235,7 @@ def pgm_bytes(dmap: DepthMap) -> bytes:
 
 
 def _pgm_header(width: int, height: int) -> bytes:
-    """The canonical header `pgm_bytes` writes and `read_pgm` rebuilds."""
+    """The canonical header `pgm_bytes` writes, of any PGM `read_pgm` accepts."""
     return f"P5\n{width} {height}\n65535\n".encode("ascii")
 
 
@@ -254,22 +253,12 @@ _PGM_HEADER = re.compile(
 )
 
 
-def read_pgm(path) -> tuple[np.ndarray, bytes]:
-    """Parse a 16-bit binary PGM into its (height, width) values and canonical bytes.
+def read_pgm(path) -> np.ndarray:
+    """The (height, width) values of a 16-bit binary PGM, once its header is checked.
 
-    The canonical bytes are the header rebuilt as `P5\\n{w} {h}\\n65535\\n`
-    followed by the first 2*w*h body bytes, which is exactly what
-    `pgm_bytes` writes; the values are a big-endian uint16 view of them.
+    They are a read-only big-endian uint16 view of the file's first 2*w*h body
+    bytes; `_pgm_header(w, h)` followed by those bytes is what `pgm_bytes` writes.
     """
-    width, height, body = _pgm_parts(path)
-    canonical = _pgm_header(width, height)
-    data = canonical + body
-    values = np.frombuffer(data, dtype=">u2", offset=len(canonical))
-    return values.reshape(height, width), data
-
-
-def _pgm_parts(path) -> tuple[int, int, memoryview]:
-    """Width, height and a view of the 2*w*h body bytes of a 16-bit binary PGM, once checked."""
     raw = Path(path).read_bytes()
     if raw[:2] != b"P5":
         raise ValueError(f"{path}: not a binary PGM")
@@ -284,16 +273,10 @@ def _pgm_parts(path) -> tuple[int, int, memoryview]:
         raise ValueError(f"{path}: malformed PGM header")
     if maxval != 65535:
         raise ValueError(f"{path}: expected 16-bit PGM, maxval {maxval}")
-    count = width * height
-    body = header.end()
-    if len(raw) - body < 2 * count:
+    if len(raw) - header.end() < 2 * width * height:
         raise ValueError(f"{path}: truncated PGM body")
-    return width, height, memoryview(raw)[body : body + 2 * count]
-
-
-def pgm_depth(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Decode PGM values to 0..255 depths (value / 257), into `out` if given."""
-    return np.divide(values, 257.0, out=out)
+    values = np.frombuffer(raw, dtype=">u2", count=width * height, offset=header.end())
+    return values.reshape(height, width)
 
 
 def load_pgm(path) -> DepthMap:
@@ -302,5 +285,5 @@ def load_pgm(path) -> DepthMap:
     Zero-valued pixels are treated as invalid, matching the export of
     normalized maps where invalid pixels carry 0.
     """
-    depth = pgm_depth(read_pgm(path)[0])
+    depth = read_pgm(path) / 257.0
     return DepthMap(depth, depth != 0)

@@ -4,10 +4,10 @@ A backend maps a normalized 224x224 depth map to a fixed-dimension vector.
 The built-in baseline projects flattened maps onto an eigen-depth-map basis;
 the external backend reads precomputed vectors keyed by the SHA-256 of the
 exported PGM bytes, which is the interchange point for any offline feature
-extractor. Both backends embed a PGM file (`embed(path)`) without building
-a `DepthMap`: the baseline decodes it straight into its feature row, as
-training does; the external one hashes its canonical bytes and takes its
-dimension from the first feature looked up.
+extractor. Both backends embed a PGM file (`embed(path)`) from one `read_pgm`
+and build no `DepthMap`: the baseline decodes the values into its feature
+row, as training does; the external one hashes the header and the values in
+place and takes its dimension from the first feature looked up.
 Post-processing follows the matching chain: signed square root, then PCA.
 """
 
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from facepipe.depthmap import _pgm_header, _pgm_parts, pgm_depth, read_pgm
+from facepipe.depthmap import _pgm_header, read_pgm
 from facepipe.pointcloud import _set_read_only, _whole_file
 
 __all__ = [
@@ -198,11 +198,11 @@ class BaselineBackend:
 
 def _map_row(path, size: int, out: np.ndarray | None = None) -> np.ndarray:
     """The flattened 0..255 depths of a size x size PGM, into `out` if given."""
-    values, _ = read_pgm(path)
+    values = read_pgm(path)
     if values.shape != (size, size):
         h, w = values.shape
         raise ValueError(f"{path}: expected {size}x{size} map, got {h}x{w}")
-    return pgm_depth(values.reshape(-1), out=out)
+    return np.divide(values.reshape(-1), 257.0, out=out)
 
 
 def baseline_train(files, d: int, map_size: int = 224) -> BaselineBackend:
@@ -222,9 +222,9 @@ def baseline_train(files, d: int, map_size: int = 224) -> BaselineBackend:
 
 def feature_hash(path) -> str:
     """Lowercase hex SHA-256 of a PGM's canonical bytes; of a whole `export_pgm` file."""
-    width, height, body = _pgm_parts(path)  # the body is hashed in place, not joined
-    digest = hashlib.sha256(_pgm_header(width, height))
-    digest.update(body)
+    values = read_pgm(path)  # hashed in place: the view's buffer is the file's body bytes
+    digest = hashlib.sha256(_pgm_header(values.shape[1], values.shape[0]))
+    digest.update(values)
     return digest.hexdigest()
 
 
@@ -248,7 +248,7 @@ def read_feature_file(path) -> np.ndarray:
             f"{path}: expected {13 + 8 * count} bytes for {count} values, "
             f"found {len(raw)}"
         )
-    values = np.frombuffer(raw, dtype="<f8", count=count, offset=13).copy()
+    values = np.frombuffer(raw, dtype="<f8", count=count, offset=13)  # read-only
     if not np.isfinite(values).all():
         raise FeatureFormatError(f"{path}: non-finite feature value")
     return values

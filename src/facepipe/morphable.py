@@ -304,8 +304,8 @@ def make_toy_model(
     norms calibrated so typical coefficients deform the surface by a few
     millimeters. Deterministic per seed.
     """
-    if n_vertices < 50 or ks < 1 or ke < 1:
-        raise ValueError("need n_vertices >= 50 and ks, ke >= 1")
+    if n_vertices < 50 or ks < 1 or ke < 1 or seed < 0:
+        raise ValueError(f"need n_vertices >= 50, ks, ke >= 1, seed >= 0; got {n_vertices, ks, ke, seed}")
     rng = np.random.default_rng(seed)
 
     i = np.arange(n_vertices)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import inspect
@@ -195,6 +196,14 @@ class TestConfig:
         out = tmp_path / "pp"
         assert main(["preprocess", str(tmp_path / "raw"), str(out), "--config", str(path)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [cmd_preprocess, cmd_augment], ids=["preprocess", "augment"])
+    def test_negative_toy_seed_is_named(self, toy, tmp_path, command):
+        config = load_config(overrides={"toy_model": {**TOY, "seed": -1}})
+        write_raw_scans(toy, tmp_path / "raw", n_subjects=1, scans_each=1)
+        with pytest.raises(ValueError, match=re.escape("seed >= 0; got (800, 5, 8, -1)")):
+            command(tmp_path / "raw", tmp_path / "out", config)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", ["[1]", "5", "null"], ids=["list", "number", "null"])
     def test_top_level_must_be_an_object(self, tmp_path, text):
@@ -541,7 +550,7 @@ class TestEvaluate:
         ext_config = self._external(rendered, tmp_path)
         digest = hashlib.sha256((rendered / "s01_a.pgm").read_bytes()).hexdigest()
         feature = tmp_path / "features" / f"{digest}.fvec"
-        values = read_feature_file(feature)
+        values = read_feature_file(feature).copy()  # the read is a read-only view
         values[7] = np.nan
         write_feature_file(values, feature)
         with pytest.raises(FeatureFormatError) as info:
@@ -564,6 +573,50 @@ class TestEvaluate:
             write_feature_file(rng.normal(size=64), tmp_path / "features" / f"{digest}.fvec")
             files.append(pgm)
         return probe_dir, files
+
+    @staticmethod
+    def _count_reads(monkeypatch):
+        """A counter of `Path.read_bytes` calls per path, from now on."""
+        reads = collections.Counter()
+        read_bytes = Path.read_bytes
+
+        def counted(path):
+            reads[path] += 1
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        return reads
+
+    def test_external_evaluate_reads_each_file_once(self, rendered, tmp_path, monkeypatch):
+        # the hash and the values come from one read of each map; one read per feature
+        ext_config = self._external(rendered, tmp_path)
+        probe_dir, probes = self._probes(tmp_path, 5)
+        maps = sorted(rendered.glob("*.pgm")) + probes
+        features = sorted((tmp_path / "features").glob("*.fvec"))
+        assert len(maps) == len(features) == 9
+        reads = self._count_reads(monkeypatch)
+        assert cmd_evaluate(rendered, probe_dir, ext_config, tmp_path / "r") == 0
+        assert reads == collections.Counter(maps + features)
+
+    @pytest.mark.parametrize("own_train_dir", [False, True], ids=["gallery-trains", "train-dir"])
+    def test_baseline_evaluate_reads_each_map_once_per_list(
+        self, rendered, config, tmp_path, monkeypatch, own_train_dir
+    ):
+        maps = sorted(rendered.glob("*.pgm"))
+        expected = collections.Counter(maps * 2)  # gallery and probes
+        if own_train_dir:
+            train = tmp_path / "train"
+            train.mkdir()
+            for pgm in maps:
+                (train / pgm.name).write_bytes(pgm.read_bytes())
+            embedding = dataclasses.replace(config.embedding, train_dir=str(train))
+            config = dataclasses.replace(config, embedding=embedding)
+            expected.update(train / pgm.name for pgm in maps)
+        else:
+            expected.update(maps)  # the gallery is the training set
+        reads = self._count_reads(monkeypatch)
+        assert cmd_evaluate(rendered, rendered, config, tmp_path / "r") == 0
+        assert reads == expected
 
     def test_missing_feature_past_the_fit_fails_evaluate(self, rendered, tmp_path):
         # gallery mode: the 4 gallery maps are fitted first, then 9 probes are
@@ -635,8 +688,11 @@ class TestEvaluate:
         }))
         config = load_config(cfg_path)
         # a first run interns the strings evaluate makes, so a resize of the
-        # interpreter's string table falls outside the measured run
+        # interpreter's string table falls outside the measured run; the file
+        # names are held, as an interned string leaves the table with its last
+        # reference and its return would grow the table again
         assert cmd_evaluate(gallery, probes, config, tmp_path / "warm") == 0
+        held = [sys.intern(p.name) for d in (gallery, probes, features) for p in d.iterdir()]
         tracemalloc.start()
         try:
             assert cmd_evaluate(gallery, probes, config, tmp_path / "report") == 0

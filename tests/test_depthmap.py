@@ -10,6 +10,7 @@ from facepipe.depthmap import (
     DepthMap,
     EmptyRenderError,
     RenderParams,
+    _pgm_header,
     bilinear_weights,
     export_pgm,
     load_pgm,
@@ -443,7 +444,7 @@ class TestPgm:
         np.testing.assert_array_equal(dmap.valid, grid > 0)
         assert dmap.depth.tobytes() == np.where(grid > 0, grid, 0.0).tobytes()
         assert pgm_bytes(dmap) == data
-        assert read_pgm(path)[1] == data
+        assert _pgm_header(256, 256) + read_pgm(path).tobytes() == data
         assert check_file_entry(path, tmp_path) is not None
 
     @pytest.mark.parametrize("size", [b"-1 -1", b"0 4", b"4 0", b"-2 3"])
@@ -470,7 +471,7 @@ class TestPgm:
         path = tmp_path / "m.pgm"
         path.write_bytes(header + body + b"tail")
         canonical = b"P5\n2 2\n65535\n" + body
-        assert read_pgm(path)[1] == canonical
+        assert _pgm_header(2, 2) + read_pgm(path).tobytes() == canonical
         assert pgm_bytes(load_pgm(path)) == canonical
         assert check_file_entry(path, tmp_path) is not None
 
@@ -500,7 +501,19 @@ class TestPgm:
     def test_raster_starts_after_one_whitespace_byte(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n1 1\n65535 \n\x01")
-        assert read_pgm(path)[0].tolist() == [[ord("\n") * 256 + 1]]
+        assert read_pgm(path).tolist() == [[ord("\n") * 256 + 1]]
+
+    def test_values_are_a_read_only_view_of_the_file(self, tmp_path):
+        body = bytes(range(1, 13))
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n# view\n3 2\n65535\n" + body + b"tail")
+        values = read_pgm(path)
+        assert values.dtype == np.dtype(">u2") and values.shape == (2, 3)
+        assert not values.flags.owndata and not values.flags.writeable
+        assert isinstance(values.base.base, bytes)  # the bytes read, not a copy of the body
+        assert values.tobytes() == body
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = 0
 
     @given(
         shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
@@ -612,7 +625,7 @@ class TestPgmFuzz:
         dmap = check_file_entry(path, folder)
         assert dmap is not None
         canonical = b"P5\n%d %d\n65535\n" % (width, height) + values.tobytes()
-        assert pgm_bytes(dmap) == read_pgm(path)[1] == canonical
+        assert pgm_bytes(dmap) == _pgm_header(width, height) + read_pgm(path).tobytes() == canonical
 
 
 _netpbm_spaces = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
@@ -645,8 +658,9 @@ class TestPgmHeaderParser:
         header = b"P5%s%d%s%d%s65535%s" % (seps[0], width, seps[1], height, seps[2], raster_sep)
         path = tmp_path_factory.mktemp("pgm") / "m.pgm"
         path.write_bytes(header + body + extra)
-        values, canonical = read_pgm(path)
-        assert canonical == b"P5\n%d %d\n65535\n" % (width, height) + body
+        values = read_pgm(path)
+        canonical = b"P5\n%d %d\n65535\n" % (width, height) + body
+        assert _pgm_header(width, height) + values.tobytes() == canonical
         assert values.shape == shape and values.tobytes() == body
         assert feature_hash(path) == hashlib.sha256(canonical).hexdigest()
 

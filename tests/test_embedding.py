@@ -467,6 +467,16 @@ class TestExternalBackend:
         write_feature_file(values, tmp_path / "x.fvec")
         np.testing.assert_array_equal(read_feature_file(tmp_path / "x.fvec"), values)
 
+    def test_feature_file_read_is_a_read_only_view(self, tmp_path):
+        values = np.concatenate([[-0.0, 5e-324, -1.5, np.finfo(float).max],
+                                 np.random.default_rng(23).normal(size=29)])
+        write_feature_file(values, tmp_path / "x.fvec")
+        back = read_feature_file(tmp_path / "x.fvec")
+        assert back.tobytes() == values.astype("<f8").tobytes()
+        assert not back.flags.owndata and not back.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            back[0] = 1.0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_feature_file_non_finite_value(self, tmp_path, bad):
         values = np.random.default_rng(19).normal(size=33)

@@ -38,7 +38,7 @@ from facepipe.embedding import (
     sqrt_normalize,
 )
 from facepipe.matching import Gallery, MatchAccountingError, cmc, roc
-from facepipe.morphable import FitConfig, MorphableModel, load_model, make_toy_model
+from facepipe.morphable import FitConfig, MorphableModel, load_model, make_toy_model, toy_mean_cloud
 from facepipe.pointcloud import NeighborIndex, PointCloud, _whole_file, load_ply, save_ply
 from facepipe.registration import IcpParams, NoseDetectionError
 from facepipe.registration import detect_nose_tip, preprocess_with_result
@@ -108,13 +108,14 @@ class PipelineConfig:
     def load_morphable(self) -> MorphableModel:
         if self.morphable_model_path is not None:
             return load_model(self.morphable_model_path)
-        t = self.toy_model
-        return make_toy_model(t.n_vertices, t.ks, t.ke, t.seed)
+        return make_toy_model(**dataclasses.asdict(self.toy_model))
 
     def load_reference(self) -> PointCloud:
         if self.reference_model_path is not None:
             return load_ply(self.reference_model_path)
-        return self.load_morphable().mean_cloud()
+        if self.morphable_model_path is not None:
+            return self.load_morphable().mean_cloud()
+        return toy_mean_cloud(**dataclasses.asdict(self.toy_model))
 
 
 def _fits(value, hint) -> bool:

@@ -37,6 +37,7 @@ __all__ = [
     "nearest_vertices",
     "transfer_expression",
     "make_toy_model",
+    "toy_mean_cloud",
     "save_model",
     "load_model",
 ]
@@ -274,9 +275,9 @@ def transfer_expression(
 
 
 # ---------------------------------------------------------------------------
-# Toy model: a deterministic, license-free face-like shell used as the
-# default reference surface and in every test. Real basis files convert to
-# the same on-disk format offline.
+# Toy model: a deterministic, license-free face-like shell used in every
+# test; its mean shape is the default reference surface. Real basis files
+# convert to the same on-disk format offline.
 # ---------------------------------------------------------------------------
 
 
@@ -294,15 +295,13 @@ def _smooth_random_fields(rng: np.random.Generator, verts: np.ndarray, k: int) -
     return raw
 
 
-def make_toy_model(
-    n_vertices: int = 2000, ks: int = 10, ke: int = 29, seed: int = 0
-) -> MorphableModel:
-    """Procedural face-like model: elliptic dome shell with a nose bump.
+def _toy_mean(
+    n_vertices: int, ks: int, ke: int, seed: int
+) -> tuple[np.ndarray, int, np.random.Generator]:
+    """Check the toy model's arguments and make its generator's first draws.
 
-    Vertices follow a sunflower layout over the face ellipse for even
-    coverage; bases are smooth random fields, column-orthogonalized, with
-    norms calibrated so typical coefficients deform the surface by a few
-    millimeters. Deterministic per seed.
+    Returns the (n, 3) mean shape, its nose-tip vertex index and the
+    generator, from which the bases draw next.
     """
     if n_vertices < 50 or ks < 1 or ke < 1 or seed < 0:
         raise ValueError(f"need n_vertices >= 50, ks, ke >= 1, seed >= 0; got {n_vertices, ks, ke, seed}")
@@ -327,8 +326,28 @@ def make_toy_model(
     dome = 45.0 * np.sqrt(np.clip(1.0 - (x / half_w) ** 2 - (y / half_h) ** 2, 0.0, None))
     nose = 22.0 * np.exp(-(x**2 + (y + 5.0) ** 2) / (2 * 11.0**2))
     z = dome + nose
-    mean = np.column_stack([x, y, z])
-    nose_index = int(np.argmax(z))
+    return np.column_stack([x, y, z]), int(np.argmax(z)), rng
+
+
+def toy_mean_cloud(
+    n_vertices: int = 2000, ks: int = 10, ke: int = 29, seed: int = 0
+) -> PointCloud:
+    """`make_toy_model(n_vertices, ks, ke, seed).mean_cloud()`, built without the bases."""
+    mean, nose_index, _ = _toy_mean(n_vertices, ks, ke, seed)
+    return PointCloud(mean, {"nose_tip": mean[nose_index]})
+
+
+def make_toy_model(
+    n_vertices: int = 2000, ks: int = 10, ke: int = 29, seed: int = 0
+) -> MorphableModel:
+    """Procedural face-like model: elliptic dome shell with a nose bump.
+
+    Vertices follow a sunflower layout over the face ellipse for even
+    coverage; bases are smooth random fields, column-orthogonalized, with
+    norms calibrated so typical coefficients deform the surface by a few
+    millimeters. Deterministic per seed.
+    """
+    mean, nose_index, rng = _toy_mean(n_vertices, ks, ke, seed)
 
     # Column norms: identity coefficients ~N(0,1) give ~4 mm rms surface
     # change; expression coefficients bounded by 0.05 stay subtle at

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facepipe import morphable
 from facepipe.cli import (
     PipelineConfig,
     _pca_coded,
@@ -197,11 +198,19 @@ class TestConfig:
         assert main(["preprocess", str(tmp_path / "raw"), str(out), "--config", str(path)]) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [cmd_preprocess, cmd_augment], ids=["preprocess", "augment"])
-    def test_negative_toy_seed_is_named(self, toy, tmp_path, command):
-        config = load_config(overrides={"toy_model": {**TOY, "seed": -1}})
+    @pytest.mark.parametrize(
+        "command, change",
+        [(cmd_preprocess, {"seed": -1}), (cmd_augment, {"seed": -1}),
+         (cmd_preprocess, {"ks": 0}), (cmd_preprocess, {"ke": 0})],
+        ids=["preprocess", "augment", "preprocess-ks-zero", "preprocess-ke-zero"],
+    )
+    def test_negative_toy_seed_is_named(self, toy, tmp_path, command, change):
+        # also a zero basis count, which preprocess checks without building a basis
+        toy_model = {**TOY, **change}
+        config = load_config(overrides={"toy_model": toy_model})
         write_raw_scans(toy, tmp_path / "raw", n_subjects=1, scans_each=1)
-        with pytest.raises(ValueError, match=re.escape("seed >= 0; got (800, 5, 8, -1)")):
+        got = tuple(toy_model.values())
+        with pytest.raises(ValueError, match=re.escape(f"ks, ke >= 1, seed >= 0; got {got}")):
             command(tmp_path / "raw", tmp_path / "out", config)
         assert not (tmp_path / "out").exists()
 
@@ -271,6 +280,38 @@ class TestPreprocess:
 
         dist, _ = NeighborIndex(toy.mean).query_many(aligned.points)
         assert np.sqrt(np.mean(dist**2)) < 0.1
+
+    def test_builds_no_model_basis(self, toy, tmp_path, monkeypatch, caplog):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"toy_model": TOY}))
+        raw = tmp_path / "raw"
+        write_raw_scans(toy, raw, n_subjects=2, scans_each=1)
+        # one scan with a nose-tip landmark, so the outputs include a sidecar
+        face = synthesize(toy, ModelParams(np.full(toy.ks, 0.6), np.zeros(toy.ke))).points
+        jig = RigidTransform(rotation_zyx(5.0, -3.0, 2.0), np.array([4.0, -2.0, 3.0]))
+        annotated = PointCloud(face, {"nose_tip": face[toy.nose_index]})
+        save_ply(apply_transform(annotated, jig), raw / "s00_a.ply")
+
+        def run(command, source, out):
+            return main([command, str(source), str(tmp_path / out), "--config", str(cfg)])
+
+        assert run("preprocess", raw, "plain") == 0
+
+        def no_basis(*args):
+            raise RuntimeError("a model basis was built")
+
+        monkeypatch.setattr(morphable, "_smooth_random_fields", no_basis)
+        assert run("preprocess", raw, "patched") == 0
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert {"s00_a.ply", "s00_a.landmarks.json"} <= set(names)
+        assert names == sorted(p.name for p in (tmp_path / "patched").iterdir())
+        for name in names:
+            assert (tmp_path / "patched" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        # the control: augment builds the model, so the patch fails it
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="facepipe"):
+            assert run("augment", tmp_path / "patched", "aug") == 1
+        assert [r.getMessage() for r in caplog.records] == ["a model basis was built"]
 
 
 class TestAugment:

@@ -1,7 +1,10 @@
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facepipe.morphable import (
     DisplacementField,
@@ -20,6 +23,7 @@ from facepipe.morphable import (
     random_expression,
     save_model,
     synthesize,
+    toy_mean_cloud,
     transfer_expression,
 )
 from facepipe.pointcloud import (
@@ -113,6 +117,23 @@ class TestToyModel:
     def test_rejects_tiny_model(self):
         with pytest.raises(ValueError):
             make_toy_model(10, 2, 2, seed=0)
+
+    @pytest.mark.parametrize("args", [(10, 2, 2, 0), (50, 0, 2, 0), (50, 2, 0, 0), (50, 2, 2, -1)])
+    def test_mean_cloud_shares_the_argument_check(self, args):
+        message = re.escape(f"need n_vertices >= 50, ks, ke >= 1, seed >= 0; got {args}")
+        for build in (make_toy_model, toy_mean_cloud):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(*args)
+
+    @given(st.integers(50, 2500), st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_mean_cloud_is_the_models_mean_cloud(self, n, ks, ke, seed):
+        # the mean's draws come before the bases', so skipping the bases changes no bit
+        want = make_toy_model(n, ks, ke, seed).mean_cloud()
+        got = toy_mean_cloud(n, ks, ke, seed)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert list(got.landmarks) == ["nose_tip"]
+        assert got.landmarks["nose_tip"].tobytes() == want.landmarks["nose_tip"].tobytes()
 
 
 class TestMorphableModel:

@@ -85,7 +85,7 @@ def augment_subject(
     """(expressions, poses): expression-transferred variants of one scan, and rigid jigs of it.
 
     The model is fitted and its nearest vertices looked up once; each expression
-    draw is transferred through its displacement field. Pose variants rigidly
+    draw is transferred through its displacement offsets. Pose variants rigidly
     perturb the original scan. All randomness flows from plan.seed.
     """
     rng = np.random.default_rng(plan.seed)
@@ -95,8 +95,8 @@ def augment_subject(
         nearest = nearest_vertices(scan, fitted)
         for _ in range(plan.expressions_per_subject):
             beta = random_expression(rng, model.ke)
-            field = displacement_field(fitted, beta, model)
-            expressions.append(transfer_expression(scan, fitted, field, nearest))
+            offsets = displacement_field(fitted, beta, model)
+            expressions.append(transfer_expression(scan, fitted, offsets, nearest))
     for _ in range(plan.poses_per_scan):
         poses.append(apply_transform(scan, random_rigid(rng, plan.angle_bound, plan.translation_bound)))
     return expressions, poses

@@ -38,7 +38,8 @@ from facepipe.embedding import (
     sqrt_normalize,
 )
 from facepipe.matching import Gallery, MatchAccountingError, cmc, roc
-from facepipe.morphable import FitConfig, MorphableModel, load_model, make_toy_model, toy_mean_cloud
+from facepipe.morphable import FitConfig, MorphableModel, ToyModelConfig, load_model
+from facepipe.morphable import make_toy_model, toy_mean_cloud
 from facepipe.pointcloud import NeighborIndex, PointCloud, _whole_file, load_ply, save_ply
 from facepipe.registration import IcpParams, NoseDetectionError
 from facepipe.registration import detect_nose_tip, preprocess_with_result
@@ -54,14 +55,6 @@ __all__ = [
 ]
 
 log = logging.getLogger("facepipe")
-
-
-@dataclass(frozen=True)
-class ToyModelConfig:
-    n_vertices: int = 2000
-    ks: int = 10
-    ke: int = 29
-    seed: int = 0
 
 
 @dataclass(frozen=True)

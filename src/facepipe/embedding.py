@@ -47,7 +47,7 @@ class FeatureLookupError(LookupError):
 
 
 class FeatureFormatError(ValueError):
-    """Feature file is malformed (bad magic or length, or a non-finite value)."""
+    """Feature file is malformed (bad magic or length, no values, or a non-finite value)."""
 
 
 def sqrt_normalize(values: np.ndarray) -> np.ndarray:
@@ -127,14 +127,14 @@ def _pca(xc: np.ndarray, pick_k) -> PcaModel:
 
 
 def _owned_shape(x) -> tuple[int, int]:
-    """Shape of a fit's input, once it is a writable float64 matrix of two or more rows."""
+    """Shape of a fit's input, once it is a writable float64 matrix of two or more non-empty rows."""
     if not isinstance(x, np.ndarray) or x.dtype != np.float64:
         got = getattr(x, "dtype", type(x).__name__)
         raise TypeError(f"PCA fits centre a float64 ndarray in place, got {got}")
     if not x.flags.writeable:
         raise ValueError("PCA fits centre their input in place, got a read-only array")
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("need at least two feature vectors")
+    if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 1:
+        raise ValueError("need at least two feature vectors, each of one or more values")
     return x.shape
 
 
@@ -178,22 +178,18 @@ def pca_transform(model: PcaModel, centred: np.ndarray) -> np.ndarray:
     return np.matmul(centred[..., None, :], model.components.T)[..., 0, :]
 
 
+@dataclass(frozen=True)
 class BaselineBackend:
     """Eigen-depth-map embedder: flattens maps and projects onto a PCA basis."""
 
-    def __init__(self, model: PcaModel, map_size: int):
-        self._model = model
-        self._map_size = map_size
-
-    @property
-    def model(self) -> PcaModel:
-        return self._model
+    model: PcaModel
+    map_size: int
 
     def embed(self, path) -> np.ndarray:
         """Features of a PGM file, decoded straight to the feature row."""
-        row = _map_row(path, self._map_size)
-        row -= self._model.mean  # a fresh row: the same bits as row - mean
-        return pca_transform(self._model, row)
+        row = _map_row(path, self.map_size)
+        row -= self.model.mean  # a fresh row: the same bits as row - mean
+        return pca_transform(self.model, row)
 
 
 def _map_row(path, size: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -248,6 +244,8 @@ def read_feature_file(path) -> np.ndarray:
             f"{path}: expected {13 + 8 * count} bytes for {count} values, "
             f"found {len(raw)}"
         )
+    if count == 0:
+        raise FeatureFormatError(f"{path}: no feature values")
     values = np.frombuffer(raw, dtype="<f8", count=count, offset=13)  # read-only
     if not np.isfinite(values).all():
         raise FeatureFormatError(f"{path}: non-finite feature value")

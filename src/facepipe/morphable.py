@@ -9,7 +9,7 @@ displacement field, so the scan keeps its own fine surface detail.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,8 @@ __all__ = [
     "MorphableModel",
     "ModelParams",
     "FitConfig",
+    "ToyModelConfig",
     "FitResult",
-    "DisplacementField",
     "FitError",
     "synthesize",
     "fit",
@@ -128,6 +128,21 @@ class FitConfig:
 
 
 @dataclass(frozen=True)
+class ToyModelConfig:
+    """Arguments of `make_toy_model` and `toy_mean_cloud`: the `toy_model` config section."""
+
+    n_vertices: int = 2000
+    ks: int = 10
+    ke: int = 29
+    seed: int = 0
+
+    def __post_init__(self):
+        n_vertices, ks, ke, seed = self.n_vertices, self.ks, self.ke, self.seed
+        if n_vertices < 50 or ks < 1 or ke < 1 or seed < 0:
+            raise ValueError(f"need n_vertices >= 50, ks, ke >= 1, seed >= 0; got {n_vertices, ks, ke, seed}")
+
+
+@dataclass(frozen=True)
 class FitResult:
     params: ModelParams
     pose: RigidTransform  # model frame -> scan frame
@@ -135,19 +150,6 @@ class FitResult:
     residual_rmse: float
     converged: bool
     iterations_used: int
-
-
-@dataclass(frozen=True)
-class DisplacementField:
-    """Per-model-vertex 3D offsets, in scan coordinates."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] != 3 or not np.isfinite(v).all():
-            raise ValueError("vectors must be a finite (n, 3) array")
-        _set_read_only(self, vectors=v)
 
 
 def synthesize(model: MorphableModel, params: ModelParams) -> PointCloud:
@@ -245,15 +247,15 @@ def random_expression(rng: np.random.Generator, ke: int = 29) -> np.ndarray:
 
 def displacement_field(
     fitted: FitResult, target_beta: np.ndarray, model: MorphableModel
-) -> DisplacementField:
-    """Per-vertex offsets from the fitted surface to the re-expressed surface."""
+) -> np.ndarray:
+    """(n, 3) offsets, in scan coordinates, from each fitted vertex to its re-expressed position."""
     target_beta = np.asarray(target_beta, dtype=np.float64).reshape(-1)
     if target_beta.shape != (model.ke,):
         raise ValueError(f"target beta length {target_beta.shape[0]} != {model.ke}")
     deformed = fitted.pose.apply(
         synthesize(model, ModelParams(fitted.params.alpha, target_beta)).points
     )
-    return DisplacementField(deformed - fitted.fitted_points.points)
+    return deformed - fitted.fitted_points.points
 
 
 def nearest_vertices(scan: PointCloud, fitted: FitResult) -> np.ndarray:
@@ -263,14 +265,14 @@ def nearest_vertices(scan: PointCloud, fitted: FitResult) -> np.ndarray:
 
 
 def transfer_expression(
-    scan: PointCloud, fitted: FitResult, field: DisplacementField, nearest: np.ndarray
+    scan: PointCloud, fitted: FitResult, offsets: np.ndarray, nearest: np.ndarray
 ) -> PointCloud:
-    """Move each scan point and landmark (an extra row) by its nearest fitted vertex's
-    offset; `nearest` is `nearest_vertices(scan, fitted)`, shared by a fit's expressions."""
-    if len(field.vectors) != len(fitted.fitted_points):
-        raise ValueError("field length does not match fitted vertex count")
+    """Move each scan point and landmark (an extra row) by its nearest fitted vertex's row of
+    `offsets`; `nearest` is `nearest_vertices(scan, fitted)`, shared by a fit's expressions."""
+    if len(offsets) != len(fitted.fitted_points):
+        raise ValueError("offsets length does not match fitted vertex count")
     points = np.vstack([scan.points, *scan.landmarks.values()])
-    moved = points + field.vectors[nearest]
+    moved = points + offsets[nearest]
     return PointCloud(moved[: len(scan)], dict(zip(scan.landmarks, moved[len(scan) :])))
 
 
@@ -303,8 +305,7 @@ def _toy_mean(
     Returns the (n, 3) mean shape, its nose-tip vertex index and the
     generator, from which the bases draw next.
     """
-    if n_vertices < 50 or ks < 1 or ke < 1 or seed < 0:
-        raise ValueError(f"need n_vertices >= 50, ks, ke >= 1, seed >= 0; got {n_vertices, ks, ke, seed}")
+    ToyModelConfig(n_vertices, ks, ke, seed)  # raises on an argument out of range
     rng = np.random.default_rng(seed)
 
     i = np.arange(n_vertices)

@@ -118,7 +118,7 @@ def test_criterion_3_transfer_identity_and_oracle():
         expected = np.empty_like(jitter.points)
         for i, p in enumerate(jitter.points):
             j = int(np.argmin(np.sum((omega - p) ** 2, axis=1)))
-            expected[i] = p + field.vectors[j]
+            expected[i] = p + field[j]
         oracle_ok = oracle_ok and np.array_equal(out.points, expected)
     elapsed = time.perf_counter() - start
     report(

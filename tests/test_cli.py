@@ -200,18 +200,27 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "command, change",
-        [(cmd_preprocess, {"seed": -1}), (cmd_augment, {"seed": -1}),
-         (cmd_preprocess, {"ks": 0}), (cmd_preprocess, {"ke": 0})],
-        ids=["preprocess", "augment", "preprocess-ks-zero", "preprocess-ke-zero"],
+        [("preprocess", {"seed": -1}), ("augment", {"seed": -1}),
+         ("preprocess", {"ks": 0}), ("preprocess", {"ke": 0}),
+         ("render", {"n_vertices": 10, "ks": 0}), ("evaluate", {"n_vertices": 10, "ks": 0})],
+        ids=["preprocess", "augment", "preprocess-ks-zero", "preprocess-ke-zero", "render",
+             "evaluate"],
     )
-    def test_negative_toy_seed_is_named(self, toy, tmp_path, command, change):
-        # also a zero basis count, which preprocess checks without building a basis
+    def test_negative_toy_seed_is_named(self, toy, tmp_path, command, change, caplog):
+        # every command rejects a bad toy_model section when its config loads,
+        # including the ones that never build the toy model
         toy_model = {**TOY, **change}
-        config = load_config(overrides={"toy_model": toy_model})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"toy_model": toy_model}))
+        message = re.escape(f"ks, ke >= 1, seed >= 0; got {tuple(toy_model.values())}")
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
         write_raw_scans(toy, tmp_path / "raw", n_subjects=1, scans_each=1)
-        got = tuple(toy_model.values())
-        with pytest.raises(ValueError, match=re.escape(f"ks, ke >= 1, seed >= 0; got {got}")):
-            command(tmp_path / "raw", tmp_path / "out", config)
+        dirs = ["raw", "raw", "out"] if command == "evaluate" else ["raw", "out"]
+        with caplog.at_level(logging.ERROR, logger="facepipe"):
+            rc = main([command, *(str(tmp_path / d) for d in dirs), "--config", str(path)])
+        assert rc == 1
+        assert re.search(message, caplog.text)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", ["[1]", "5", "null"], ids=["list", "number", "null"])
@@ -598,6 +607,20 @@ class TestEvaluate:
             cmd_evaluate(rendered, rendered, ext_config, tmp_path / "r")
         assert str(info.value) == f"{feature}: non-finite feature value"
         assert not (tmp_path / "r").exists()
+
+    def test_empty_feature_file_is_named(self, rendered, tmp_path, caplog):
+        # every feature empty: the first one read is named, and no report is made
+        self._external(rendered, tmp_path)
+        for feature in (tmp_path / "features").glob("*.fvec"):
+            write_feature_file(np.empty(0), feature)
+        first = hashlib.sha256((rendered / "s00_a.pgm").read_bytes()).hexdigest()
+        report = tmp_path / "r"
+        argv = ["evaluate", str(rendered), str(rendered), str(report),
+                "--config", str(tmp_path / "ext.json")]
+        with caplog.at_level(logging.ERROR, logger="facepipe"):
+            assert main(argv) == 1
+        assert f"{tmp_path / 'features' / first}.fvec: no feature values" in caplog.text
+        assert not report.exists()
 
     @staticmethod
     def _probes(tmp_path, count):

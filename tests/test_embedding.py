@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -172,6 +173,12 @@ class TestPcaFit:
                 fit()
             assert np.array(x).tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("shape", [(1, 4), (3, 0)], ids=["one-row", "zero-width"])
+    def test_too_few_values_rejected(self, shape):
+        for fit in (lambda x: pca_fit(x, 1), lambda x: pca_fit_variance(x, 0.9, cap=2)):
+            with pytest.raises(ValueError, match="need at least two feature vectors"):
+                fit(np.empty(shape))
+
     @pytest.mark.parametrize("cap", [0, -3])
     def test_cap_below_one(self, cap):
         with pytest.raises(ValueError, match=f"cap must be at least 1, got {cap}"):
@@ -321,6 +328,13 @@ class TestBaselineBackend:
         files = write_pgms(tmp_path, maps)
         backend = baseline_train(files, d=1, map_size=16)
         assert backend.embed(files[0]) != backend.embed(files[1])
+
+    def test_is_a_frozen_record(self, tmp_path):
+        rng = np.random.default_rng(21)
+        backend = baseline_train(write_pgms(tmp_path, random_maps(rng, 4, size=16)), d=2, map_size=16)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            backend.map_size = 8
+        assert backend.map_size == 16
 
     def test_insufficient_samples(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -476,6 +490,12 @@ class TestExternalBackend:
         assert not back.flags.owndata and not back.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             back[0] = 1.0
+
+    def test_feature_file_with_no_values(self, tmp_path):
+        write_feature_file(np.empty(0), tmp_path / "x.fvec")
+        with pytest.raises(FeatureFormatError) as info:
+            read_feature_file(tmp_path / "x.fvec")
+        assert str(info.value) == f"{tmp_path / 'x.fvec'}: no feature values"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_feature_file_non_finite_value(self, tmp_path, bad):

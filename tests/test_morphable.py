@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facepipe.morphable import (
-    DisplacementField,
     FitConfig,
     FitError,
     FitResult,
@@ -385,7 +384,7 @@ class TestDisplacementField:
         scan = synthesize(toy, ModelParams(np.zeros(5), np.zeros(8)))
         fitted = fit(toy, scan)
         field = displacement_field(fitted, fitted.params.beta, toy)
-        np.testing.assert_array_equal(field.vectors, np.zeros_like(field.vectors))
+        np.testing.assert_array_equal(field, np.zeros_like(field))
 
     def test_matches_subtraction_oracle(self, toy):
         rng = np.random.default_rng(4)
@@ -397,12 +396,7 @@ class TestDisplacementField:
             synthesize(toy, ModelParams(fitted.params.alpha, target)).points
         )
         oracle = deformed - fitted.fitted_points.points
-        np.testing.assert_allclose(field.vectors, oracle, atol=1e-12)
-
-    def test_constant_offset_gives_constant_field(self, toy):
-        base = synthesize(toy, ModelParams(np.zeros(5), np.zeros(8))).points
-        field = DisplacementField((base + [1.0, 2.0, 3.0]) - base)
-        np.testing.assert_allclose(field.vectors, np.tile([1.0, 2.0, 3.0], (len(base), 1)))
+        np.testing.assert_allclose(field, oracle, atol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -415,7 +409,7 @@ class TestTransferExpression:
 
     def test_zero_field_is_identity(self, toy, fitted):
         scan, result = fitted
-        field = DisplacementField(np.zeros((toy.n_vertices, 3)))
+        field = np.zeros((toy.n_vertices, 3))
         out = transfer_expression(scan, result, field, nearest_vertices(scan, result))
         assert np.array_equal(out.points, scan.points)
 
@@ -432,7 +426,7 @@ class TestTransferExpression:
         field = displacement_field(result, target, toy)
         probe = PointCloud(result.fitted_points.points[:50].copy())
         out = transfer_expression(probe, result, field, nearest_vertices(probe, result))
-        deformed = result.fitted_points.points[:50] + field.vectors[:50]
+        deformed = result.fitted_points.points[:50] + field[:50]
         np.testing.assert_allclose(out.points, deformed, atol=1e-12)
 
     def test_matches_exhaustive_oracle(self, toy, fitted):
@@ -446,7 +440,7 @@ class TestTransferExpression:
         expected = np.empty_like(jitter.points)
         for i, p in enumerate(jitter.points):
             j = int(np.argmin(np.sum((omega - p) ** 2, axis=1)))
-            expected[i] = p + field.vectors[j]
+            expected[i] = p + field[j]
         np.testing.assert_array_equal(out.points, expected)
 
     @pytest.mark.parametrize("names", [("nose_tip", "chin", "left_eye"), ()],
@@ -465,16 +459,26 @@ class TestTransferExpression:
         out = transfer_expression(cloud, result, field, nearest_vertices(cloud, result))
         # reference: the scan points in one query, then one query per landmark
         index = NeighborIndex(result.fitted_points.points)
-        expected = scan.points + field.vectors[index.query_many(scan.points)[1]]
+        expected = scan.points + field[index.query_many(scan.points)[1]]
         assert out.points.tobytes() == expected.tobytes()
         assert list(out.landmarks) == list(names)
         for name, p in landmarks.items():
             j = index.query_many(p.reshape(1, 3))[1][0]
-            assert out.landmarks[name].tobytes() == (p + field.vectors[j]).tobytes()
+            assert out.landmarks[name].tobytes() == (p + field[j]).tobytes()
+
+    @pytest.mark.parametrize("rows, value, message", [
+        (7, 0.0, "offsets length does not match fitted vertex count"),
+        (None, np.nan, "points contain NaN or Inf coordinates"),
+    ], ids=["wrong-length", "non-finite"])
+    def test_bad_offsets_rejected(self, toy, fitted, rows, value, message):
+        scan, result = fitted
+        offsets = np.full((rows or toy.n_vertices, 3), value)
+        with pytest.raises(ValueError, match=message):
+            transfer_expression(scan, result, offsets, nearest_vertices(scan, result))
 
     def test_preserves_count_and_order(self, toy, fitted):
         scan, result = fitted
-        field = DisplacementField(np.zeros((toy.n_vertices, 3)))
+        field = np.zeros((toy.n_vertices, 3))
         out = transfer_expression(scan, result, field, nearest_vertices(scan, result))
         assert len(out) == len(scan)
         assert np.array_equal(out.points, scan.points)

@@ -5,25 +5,4 @@ depth maps, enlarged with expression / pose / occlusion augmentation, and
 matched against a gallery with cosine distance over normalized features.
 """
 
-from facepipe.pointcloud import (
-    NeighborIndex,
-    PointCloud,
-    RigidTransform,
-    apply_transform,
-    crop_sphere,
-    load_ply,
-    save_ply,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "NeighborIndex",
-    "PointCloud",
-    "RigidTransform",
-    "apply_transform",
-    "crop_sphere",
-    "load_ply",
-    "save_ply",
-    "__version__",
-]
+__all__: list[str] = []

@@ -32,6 +32,7 @@ from facepipe.augmentation import AugmentPlan, apply_patches, augment_subject
 from facepipe.depthmap import RenderParams, export_pgm, render_pipeline
 from facepipe.embedding import (
     ExternalBackend,
+    FeatureFormatError,
     baseline_train,
     pca_fit_variance,
     pca_transform,
@@ -108,7 +109,7 @@ class PipelineConfig:
             return load_ply(self.reference_model_path)
         if self.morphable_model_path is not None:
             return self.load_morphable().mean_cloud()
-        return toy_mean_cloud(**dataclasses.asdict(self.toy_model))
+        return toy_mean_cloud(self.toy_model)
 
 
 def _fits(value, hint) -> bool:
@@ -164,10 +165,10 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
             raise ValueError(f"{path}: {exc}") from None
     if isinstance(data, dict):  # anything else is rejected by _build
         data.update((k, v) for k, v in (overrides or {}).items() if v is not None)
-        # an unset or null augment seed inherits the master seed
-        aug = data.setdefault("augment", {})
+        # an unset or null augment seed inherits the master seed, in a new section
+        aug = data.get("augment", {})
         if isinstance(aug, dict) and aug.get("seed") is None:
-            aug["seed"] = data.get("seed", 0)
+            data["augment"] = {**aug, "seed": data.get("seed", 0)}
     return _build(PipelineConfig, data, "config")
 
 
@@ -335,10 +336,10 @@ def _pca_coded(backend, files: list[Path], n_fit: int, variance_target: float, c
     """The post-embedding PCA, fitted on the first `n_fit` maps, and every map coded by it.
 
     The maps go in batches of at most `n_fit` through the rows of one owned
-    (n_fit, d) matrix, d being the first feature's width; no map is kept. The
-    fit centres the first batch, the fit set, in place; each later batch is
-    centred on the fit's mean in place. One `pca_transform` call projects each
-    batch row by row, so the codes keep the bits one stacked batch would.
+    (n_fit, d) matrix, d being the first feature's width and every one's; no
+    map is kept. The fit centres the first batch, the fit set, in place; each
+    later batch is centred on the fit's mean in place. One `pca_transform` call
+    projects each batch row by row, so the codes keep the bits one stacked batch would.
     """
     features = (sqrt_normalize(backend.embed(f)) for f in files)
     first = next(features)
@@ -346,7 +347,9 @@ def _pca_coded(backend, files: list[Path], n_fit: int, variance_target: float, c
     features = itertools.chain([first], features)
     for start in range(0, len(files), n_fit):
         batch = rows[: len(files) - start]  # the last batch may fill only part
-        for row, feature in zip(batch, features):
+        for path, row, feature in zip(files[start:], batch, features):
+            if feature.shape != row.shape:  # a 1-value feature would broadcast
+                raise FeatureFormatError(f"{path}: feature shape {feature.shape}, not {row.shape}")
             row[:] = feature
         if start == 0:
             pca = pca_fit_variance(batch, variance_target, cap)

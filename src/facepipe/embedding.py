@@ -7,7 +7,7 @@ exported PGM bytes, which is the interchange point for any offline feature
 extractor. Both backends embed a PGM file (`embed(path)`) from one `read_pgm`
 and build no `DepthMap`: the baseline decodes the values into its feature
 row, as training does; the external one hashes the header and the values in
-place and takes its dimension from the first feature looked up.
+place and returns the stored feature as it is read.
 Post-processing follows the matching chain: signed square root, then PCA.
 """
 
@@ -252,32 +252,21 @@ def read_feature_file(path) -> np.ndarray:
     return values
 
 
+@dataclass(frozen=True)
 class ExternalBackend:
     """Feature lookup from a directory of <sha256>.fvec files."""
 
-    def __init__(self, directory):
-        self._dir = Path(directory)
-        if not self._dir.is_dir():
-            raise FileNotFoundError(f"feature directory {self._dir} does not exist")
-        self._dimension = None  # set by the first lookup
+    directory: Path
 
-    @property
-    def dimension(self) -> int | None:
-        return self._dimension
+    def __post_init__(self):
+        object.__setattr__(self, "directory", Path(self.directory))
+        if not self.directory.is_dir():
+            raise FileNotFoundError(f"feature directory {self.directory} does not exist")
 
     def embed(self, path) -> np.ndarray:
         """Features of a PGM file, keyed on `feature_hash(path)`; no map is decoded."""
         digest = feature_hash(path)
-        feature = self._dir / f"{digest}.fvec"
         try:
-            values = read_feature_file(feature)
+            return read_feature_file(self.directory / f"{digest}.fvec")
         except FileNotFoundError:
             raise FeatureLookupError(f"{path}: no feature file for map hash {digest}") from None
-        if self._dimension is None:
-            self._dimension = values.shape[0]
-        elif values.shape[0] != self._dimension:
-            raise FeatureFormatError(
-                f"{feature}: dimension {values.shape[0]} != backend dimension "
-                f"{self._dimension}"
-            )
-        return values

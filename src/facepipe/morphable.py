@@ -129,7 +129,7 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class ToyModelConfig:
-    """Arguments of `make_toy_model` and `toy_mean_cloud`: the `toy_model` config section."""
+    """Arguments of `make_toy_model`, checked here: the `toy_model` config section."""
 
     n_vertices: int = 2000
     ks: int = 10
@@ -297,16 +297,11 @@ def _smooth_random_fields(rng: np.random.Generator, verts: np.ndarray, k: int) -
     return raw
 
 
-def _toy_mean(
-    n_vertices: int, ks: int, ke: int, seed: int
-) -> tuple[np.ndarray, int, np.random.Generator]:
-    """Check the toy model's arguments and make its generator's first draws.
-
-    Returns the (n, 3) mean shape, its nose-tip vertex index and the
-    generator, from which the bases draw next.
-    """
-    ToyModelConfig(n_vertices, ks, ke, seed)  # raises on an argument out of range
-    rng = np.random.default_rng(seed)
+def _toy_mean(config: ToyModelConfig) -> tuple[np.ndarray, int, np.random.Generator]:
+    """The toy model generator's first draws: the (n, 3) mean shape, its
+    nose-tip vertex index and the generator, from which the bases draw next."""
+    n_vertices = config.n_vertices
+    rng = np.random.default_rng(config.seed)
 
     i = np.arange(n_vertices)
     radius = np.sqrt((i + 0.5) / n_vertices)
@@ -330,11 +325,9 @@ def _toy_mean(
     return np.column_stack([x, y, z]), int(np.argmax(z)), rng
 
 
-def toy_mean_cloud(
-    n_vertices: int = 2000, ks: int = 10, ke: int = 29, seed: int = 0
-) -> PointCloud:
-    """`make_toy_model(n_vertices, ks, ke, seed).mean_cloud()`, built without the bases."""
-    mean, nose_index, _ = _toy_mean(n_vertices, ks, ke, seed)
+def toy_mean_cloud(config: ToyModelConfig) -> PointCloud:
+    """`make_toy_model(**asdict(config)).mean_cloud()`, built without the bases."""
+    mean, nose_index, _ = _toy_mean(config)
     return PointCloud(mean, {"nose_tip": mean[nose_index]})
 
 
@@ -348,7 +341,7 @@ def make_toy_model(
     norms calibrated so typical coefficients deform the surface by a few
     millimeters. Deterministic per seed.
     """
-    mean, nose_index, rng = _toy_mean(n_vertices, ks, ke, seed)
+    mean, nose_index, rng = _toy_mean(ToyModelConfig(n_vertices, ks, ke, seed))
 
     # Column norms: identity coefficients ~N(0,1) give ~4 mm rms surface
     # change; expression coefficients bounded by 0.05 stay subtle at

@@ -63,8 +63,7 @@ class PointCloud:
             p = np.asarray(p, dtype=np.float64).reshape(3)
             if not np.isfinite(p).all():
                 raise ValueError(f"landmark {name!r} has non-finite coordinates")
-            p.setflags(write=False)
-            lms[name] = p
+            lms[name] = _read_only(p)
         object.__setattr__(self, "landmarks", lms)
 
     def __len__(self) -> int:
@@ -144,7 +143,7 @@ class NeighborIndex:
     """
 
     def __init__(self, points: np.ndarray):
-        self._points = _as_points(points)
+        self._points = _read_only(_as_points(points))  # the tree keeps this array too
         if len(self._points) == 0:
             raise ValueError("cannot index an empty point list")
         # imported here, so that only the commands that build an index pay for it
@@ -297,15 +296,37 @@ def _whole_file(path, mode: str = "wb", **open_args):
         raise
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """`array` made read-only: a copy if it views a writable array, which its
+    owner could still change, else the array itself, frozen in place."""
+    viewed = array.base if isinstance(array.base, np.ndarray) else array
+    if array.base is not None and (array.flags.writeable or viewed.flags.writeable):
+        array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
 def _set_read_only(record, **arrays: np.ndarray) -> None:
-    """Make each array read-only and set it as that field of a frozen dataclass."""
+    """Set each array, made read-only by `_read_only`, as that field of a frozen dataclass."""
     for name, array in arrays.items():
-        array.setflags(write=False)
-        object.__setattr__(record, name, array)
+        object.__setattr__(record, name, _read_only(array))
 
 
 def _landmark_sidecar(path: Path) -> Path:
     return path.with_name(path.stem + ".landmarks.json")
+
+
+def _ply_header(raw: bytes, path) -> tuple[list[str], int]:
+    """The header's lines, through the "end_header" among the first 501 lines
+    that end in a newline, and the offset of the body's first byte."""
+    lines = raw.split(b"\n", 501)[:-1]
+    n = next((k for k, line in enumerate(lines, 1) if line.rstrip(b"\r") == b"end_header"), 0)
+    if not n:
+        if len(lines) > 500:
+            raise PlyParseError(f"{path}: runaway header (line 501)")
+        raise PlyParseError(f"{path}: header not terminated (line {len(lines) + 1})")
+    text = [line.rstrip(b"\r").decode("ascii", errors="replace") for line in lines[:n]]
+    return text, sum(map(len, lines[:n])) + n
 
 
 def load_ply(path) -> PointCloud:
@@ -313,22 +334,7 @@ def load_ply(path) -> PointCloud:
     path = Path(path)
     raw = path.read_bytes()
 
-    # --- header ---
-    lines = []
-    offset = 0
-    line_no = 0
-    while True:
-        end = raw.find(b"\n", offset)
-        if end < 0:
-            raise PlyParseError(f"{path}: header not terminated (line {line_no + 1})")
-        line = raw[offset:end].rstrip(b"\r").decode("ascii", errors="replace")
-        offset = end + 1
-        line_no += 1
-        lines.append(line)
-        if line == "end_header":
-            break
-        if line_no > 500:
-            raise PlyParseError(f"{path}: runaway header (line {line_no})")
+    lines, offset = _ply_header(raw, path)
     if lines[0] != "ply":
         raise PlyParseError(f"{path}: missing 'ply' magic (line 1)")
 
@@ -382,7 +388,7 @@ def load_ply(path) -> PointCloud:
             """The file line of data line k; past the last one, the line after it."""
             at = [i for i, l in enumerate(body) if l.strip()]
             at.append(at[-1] + 1 if at else 0)
-            return f"line {line_no + 1 + at[k]}"
+            return f"line {len(lines) + 1 + at[k]}"
 
         if len(data_lines) < skip + n_vertices:
             raise PlyParseError(

@@ -1,9 +1,12 @@
 """Names looked up as strings must resolve: the benchmark's traced functions,
-and every name a module exports in `__all__`."""
+and every name a module exports in `__all__`. The package root exports none."""
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import facepipe
@@ -39,3 +42,16 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(name)
         missing += [f"{name}.{attr}" for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_package_root_loads_no_submodule():
+    # a fresh interpreter: each name is reached through its own module only
+    code = (
+        "import sys\n"
+        "import facepipe\n"
+        "print(facepipe.__all__, sorted(m for m in sys.modules if m.startswith('facepipe.')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(facepipe.__file__).resolve().parent.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert run.stdout.split() == ["[]", "[]"]

@@ -29,6 +29,7 @@ from facepipe.cli import (
 )
 from facepipe.depthmap import DepthMap, export_pgm
 from facepipe.embedding import (
+    FeatureFormatError,
     pca_fit_variance,
     pca_transform,
     read_feature_file,
@@ -92,6 +93,13 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"seed": 5}))
         assert load_config(path).augment.seed == 5
+
+    def test_overrides_are_not_written_to(self):
+        # one augment section reused across calls: each call's seed is its own
+        plan = {"expressions_per_subject": 2}
+        for seed in (3, 9):
+            assert load_config(overrides={"seed": seed, "augment": plan}).augment.seed == seed
+        assert plan == {"expressions_per_subject": 2}
 
     def test_seed_override(self, tmp_path):
         path = tmp_path / "c.json"
@@ -595,8 +603,6 @@ class TestEvaluate:
         assert not (tmp_path / "r").exists()
 
     def test_non_finite_feature_fails_evaluate(self, rendered, tmp_path):
-        from facepipe.embedding import FeatureFormatError
-
         ext_config = self._external(rendered, tmp_path)
         digest = hashlib.sha256((rendered / "s01_a.pgm").read_bytes()).hexdigest()
         feature = tmp_path / "features" / f"{digest}.fvec"
@@ -607,6 +613,23 @@ class TestEvaluate:
             cmd_evaluate(rendered, rendered, ext_config, tmp_path / "r")
         assert str(info.value) == f"{feature}: non-finite feature value"
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("width", [4, 1])
+    def test_feature_of_another_width_is_named(self, rendered, tmp_path, caplog, width):
+        # every other feature has 64 values; a 1-value one must not broadcast into its row
+        self._external(rendered, tmp_path)
+        odd = rendered / "s02_a.pgm"
+        digest = hashlib.sha256(odd.read_bytes()).hexdigest()
+        write_feature_file(np.ones(width), tmp_path / "features" / f"{digest}.fvec")
+        report = tmp_path / "r"
+        argv = ["evaluate", str(rendered), str(rendered), str(report),
+                "--config", str(tmp_path / "ext.json")]
+        with caplog.at_level(logging.ERROR, logger="facepipe"):
+            assert main(argv) == 1
+        assert f"{odd}: feature shape ({width},), not (64,)" in caplog.messages
+        assert not report.exists()
+        with pytest.raises(FeatureFormatError, match=re.escape(f"{odd}: ")):
+            cmd_evaluate(rendered, rendered, load_config(tmp_path / "ext.json"), report)
 
     def test_empty_feature_file_is_named(self, rendered, tmp_path, caplog):
         # every feature empty: the first one read is named, and no report is made

@@ -422,7 +422,6 @@ class TestExternalBackend:
         write_feature_file(stored, tmp_path / f"{digest}.fvec")
         backend = ExternalBackend(tmp_path)
         np.testing.assert_array_equal(backend.embed(pgm), stored)
-        assert backend.dimension == 4096
 
     def test_missing_hash_names_it(self, tmp_path):
         rng = np.random.default_rng(15)
@@ -461,20 +460,6 @@ class TestExternalBackend:
         backend = ExternalBackend(tmp_path)
         with pytest.raises(FeatureFormatError, match="expected 77 bytes for 8 values, found 69"):
             backend.embed(pgm)
-
-    def test_dimension_set_by_first_lookup(self, tmp_path):
-        rng = np.random.default_rng(18)
-        first, first_key = self._normalized_pgm(rng, tmp_path / "a.pgm")
-        second, second_key = self._normalized_pgm(rng, tmp_path / "b.pgm")
-        write_feature_file(rng.normal(size=8), tmp_path / f"{first_key}.fvec")
-        write_feature_file(rng.normal(size=4), tmp_path / f"{second_key}.fvec")
-        write_feature_file(rng.normal(size=3), tmp_path / "0.fvec")  # unused; sorts first
-        backend = ExternalBackend(tmp_path)
-        assert backend.dimension is None
-        assert backend.embed(first).shape == (8,)
-        assert backend.dimension == 8
-        with pytest.raises(FeatureFormatError, match="dimension 4 != backend dimension 8"):
-            backend.embed(second)
 
     def test_feature_file_round_trip(self, tmp_path):
         values = np.random.default_rng(17).normal(size=33)

@@ -12,6 +12,7 @@ from facepipe.morphable import (
     FitResult,
     ModelParams,
     MorphableModel,
+    ToyModelConfig,
     _rotate_basis,
     _solve_ridge,
     displacement_field,
@@ -120,7 +121,7 @@ class TestToyModel:
     @pytest.mark.parametrize("args", [(10, 2, 2, 0), (50, 0, 2, 0), (50, 2, 0, 0), (50, 2, 2, -1)])
     def test_mean_cloud_shares_the_argument_check(self, args):
         message = re.escape(f"need n_vertices >= 50, ks, ke >= 1, seed >= 0; got {args}")
-        for build in (make_toy_model, toy_mean_cloud):
+        for build in (make_toy_model, lambda *a: toy_mean_cloud(ToyModelConfig(*a))):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 build(*args)
 
@@ -129,7 +130,7 @@ class TestToyModel:
     def test_mean_cloud_is_the_models_mean_cloud(self, n, ks, ke, seed):
         # the mean's draws come before the bases', so skipping the bases changes no bit
         want = make_toy_model(n, ks, ke, seed).mean_cloud()
-        got = toy_mean_cloud(n, ks, ke, seed)
+        got = toy_mean_cloud(ToyModelConfig(n, ks, ke, seed))
         assert got.points.tobytes() == want.points.tobytes()
         assert list(got.landmarks) == ["nose_tip"]
         assert got.landmarks["nose_tip"].tobytes() == want.landmarks["nose_tip"].tobytes()

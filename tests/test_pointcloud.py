@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import facepipe
@@ -23,6 +23,7 @@ from facepipe.pointcloud import (
     RigidTransform,
     WarmNeighbors,
     _lengths,
+    _ply_header,
     apply_transform,
     crop_sphere,
     load_ply,
@@ -111,6 +112,43 @@ class TestReadOnlyRecords:
             assert arrays, type(record).__name__
             for array in arrays:
                 assert not array.flags.writeable, type(record).__name__
+
+    # name: (the caller's arrays, the record built from them, the values it answers with)
+    CALLER_BUILT = {
+        "PointCloud": (lambda rng: [rng.normal(size=(4, 3)), rng.normal(size=3)],
+                       lambda points, nose: PointCloud(points, {"nose_tip": nose}),
+                       lambda cloud: [cloud.points, cloud.landmarks["nose_tip"]]),
+        "RigidTransform": (lambda rng: [rotation_zyx(*rng.uniform(-90, 90, 3)), rng.normal(size=3)],
+                           RigidTransform, lambda rt: [rt.rotation, rt.translation]),
+        "DepthMap": (lambda rng: [np.diag(rng.uniform(1, 9, 4)), np.eye(4, dtype=bool)],
+                     DepthMap, lambda dmap: [dmap.depth, dmap.valid]),
+        "PcaModel": (lambda rng: [rng.normal(size=3), np.eye(2, 3), np.array([2.0, 1.0])],
+                     PcaModel, lambda pca: [pca.mean, pca.components, pca.explained_variance]),
+        "MorphableModel": (
+            lambda rng: [rng.normal(size=(4, 3)), rng.normal(size=(12, 2)), rng.normal(size=(12, 3))],
+            lambda mean, shape, expr: MorphableModel(mean, shape, expr, 0),
+            lambda model: [model.mean, model.shape_basis, model.expr_basis]),
+        "ModelParams": (lambda rng: [rng.normal(size=2), rng.normal(size=3)],
+                        ModelParams, lambda params: [params.alpha, params.beta]),
+        "NeighborIndex": (lambda rng: [rng.normal(size=(6, 3))], NeighborIndex,
+                          lambda index: [index.points, *index.query_many(np.zeros((1, 3)))]),
+    }
+
+    @pytest.mark.parametrize("views", [False, True], ids=["own-arrays", "views"])
+    @pytest.mark.parametrize("name", list(CALLER_BUILT))
+    def test_caller_arrays_cannot_change_a_record(self, name, views):
+        # a record keeps its own read-only copy of a view of a writable array,
+        # reshapes included, and freezes in place an array that owns its memory
+        make, build, answers = self.CALLER_BUILT[name]
+        arrays = make(np.random.default_rng(7))
+        record = build(*(a[...] if views else a for a in arrays))
+        before = [a.tobytes() for a in answers(record)]
+        for array in arrays:
+            try:
+                array[...] = 5
+            except ValueError:  # frozen in place: the record holds this array itself
+                assert not views
+        assert [a.tobytes() for a in answers(record)] == before
 
 
 class TestRigidTransform:
@@ -249,7 +287,7 @@ class TestNeighborIndex:
             "import sys\n"
             "import facepipe, facepipe.cli\n"
             "before = 'scipy.spatial' in sys.modules\n"
-            "facepipe.NeighborIndex([[0.0, 0.0, 0.0]])\n"
+            "facepipe.pointcloud.NeighborIndex([[0.0, 0.0, 0.0]])\n"
             "print(before, 'scipy.spatial' in sys.modules)\n"
         )
         src = str(Path(facepipe.__file__).resolve().parent.parent)
@@ -525,6 +563,22 @@ class TestPlyIO:
         with pytest.raises(PlyParseError, match=re.escape(message)):
             load_ply(f)
 
+    @pytest.mark.parametrize("end_header", [True, False], ids=["ended", "unended"])
+    @pytest.mark.parametrize("n_lines", [500, 501, 502])
+    def test_header_line_limit(self, tmp_path, n_lines, end_header):
+        # n_lines header lines, the last one "end_header" if ended; 501 is the most read
+        head = ["ply", "format binary_little_endian 1.0", "element vertex 1",
+                "property float x", "property float y", "property float z"]
+        head += ["comment pad"] * (n_lines - len(head) - 1) + ["end_header" if end_header else "comment"]
+        f = tmp_path / "long.ply"
+        f.write_bytes(("\n".join(head) + "\n").encode() + struct.pack("<3f", 1.0, 2.0, 3.0))
+        if end_header and n_lines <= 501:
+            assert load_ply(f).points.tolist() == [[1.0, 2.0, 3.0]]
+        else:
+            kind = "runaway header" if n_lines > 500 else "header not terminated"
+            with pytest.raises(PlyParseError, match=re.escape(f"{f}: {kind} (line 501)")):
+                load_ply(f)
+
     def test_malformed_header(self, tmp_path):
         f = tmp_path / "no_magic.ply"
         f.write_text("plop\nend_header\n")
@@ -748,6 +802,64 @@ class TestPlyFuzz:
         text = "\n".join(["ply", *header, "end_header", *body]) + "\n"
         data = text.encode("utf-8", errors="surrogateescape")
         _load_only_parse_errors(tmp_path_factory.mktemp("ply"), data)
+
+
+def _header_by_loop(raw: bytes, path):
+    """The header as a line-by-line loop reads it: its lines and the body's offset."""
+    lines, offset, line_no = [], 0, 0
+    while True:
+        end = raw.find(b"\n", offset)
+        if end < 0:
+            raise PlyParseError(f"{path}: header not terminated (line {line_no + 1})")
+        line = raw[offset:end].rstrip(b"\r").decode("ascii", errors="replace")
+        offset = end + 1
+        line_no += 1
+        lines.append(line)
+        if line == "end_header":
+            break
+        if line_no > 500:
+            raise PlyParseError(f"{path}: runaway header (line {line_no})")
+    return lines, offset
+
+
+def _header_or_message(read, raw: bytes):
+    try:
+        return read(raw, "f.ply")
+    except PlyParseError as exc:
+        return str(exc)
+
+
+_header_line = st.one_of(
+    st.sampled_from([b"ply", b"end_header", b"end_header\r", b"end_header\r\r", b" end_header",
+                     b"end_header ", b"comment end_header", b"comment \xff\xfe", b"", b"\r"]),
+    st.binary(max_size=8).map(lambda b: b.replace(b"\n", b"")),
+)
+
+
+class TestPlyHeader:
+    @given(
+        n_lines=st.sampled_from([0, 1, 2, 7, 499, 500, 501, 502, 503]),
+        edits=st.lists(st.tuples(st.integers(0, 503), _header_line), max_size=5),
+        crlf=st.booleans(),
+        final_newline=st.booleans(),
+        body=st.binary(max_size=24),
+    )
+    @example(n_lines=500, edits=[(499, b"end_header")], crlf=True, final_newline=True, body=b"")
+    @example(n_lines=501, edits=[(500, b"end_header")], crlf=False, final_newline=True, body=b"")
+    @example(n_lines=502, edits=[(501, b"end_header")], crlf=False, final_newline=True, body=b"")
+    @example(n_lines=3, edits=[(2, b"end_header")], crlf=False, final_newline=False, body=b"")
+    @settings(max_examples=300, deadline=None)
+    def test_one_split_reads_as_the_line_loop(self, n_lines, edits, crlf, final_newline, body):
+        # n_lines comment lines with some lines replaced, each ended by \n or \r\n
+        # (the last one perhaps not), then body bytes that may hold newlines too
+        lines = [b"comment pad"] * n_lines
+        for at, line in edits:
+            if at < n_lines:
+                lines[at] = line
+        end = b"\r\n" if crlf else b"\n"
+        raw = end.join(lines) + (end if final_newline and lines else b"") + body
+        got = _header_or_message(_ply_header, raw)
+        assert got == _header_or_message(_header_by_loop, raw)
 
 
 finite_f64 = st.floats(-1e38, 1e38, allow_nan=False)

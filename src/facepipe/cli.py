@@ -400,7 +400,7 @@ def cmd_evaluate(gallery_dir, probe_dir, config: PipelineConfig, report_dir) -> 
     roc_rows = ((repr(float(far)), repr(float(vr))) for far, vr in roc_curve)
     _write_csv(report_dir / "roc.csv", ["far", "vr"], roc_rows)
     summary = {
-        "gallery_size": len(gallery),
+        "gallery_size": len(gallery_files),
         "probe_count": len(probe_files),
         "rank1_accuracy": float(curve[0]),
         "rank2_accuracy": float(curve[min(1, len(curve) - 1)]),

@@ -224,8 +224,17 @@ def feature_hash(path) -> str:
     return digest.hexdigest()
 
 
+def _feature_values(values: np.ndarray, path) -> np.ndarray:
+    """`values`, if a feature file may hold them: at least one, each finite."""
+    if values.size == 0:
+        raise FeatureFormatError(f"{path}: no feature values")
+    if not np.isfinite(values).all():
+        raise FeatureFormatError(f"{path}: non-finite feature value")
+    return values
+
+
 def write_feature_file(values: np.ndarray, path) -> None:
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    values = _feature_values(np.asarray(values, dtype=np.float64).reshape(-1), path)
     with _whole_file(path) as fh:
         fh.write(_FVEC_MAGIC)
         fh.write(struct.pack("<Q", values.shape[0]))
@@ -244,12 +253,7 @@ def read_feature_file(path) -> np.ndarray:
             f"{path}: expected {13 + 8 * count} bytes for {count} values, "
             f"found {len(raw)}"
         )
-    if count == 0:
-        raise FeatureFormatError(f"{path}: no feature values")
-    values = np.frombuffer(raw, dtype="<f8", count=count, offset=13)  # read-only
-    if not np.isfinite(values).all():
-        raise FeatureFormatError(f"{path}: non-finite feature value")
-    return values
+    return _feature_values(np.frombuffer(raw, dtype="<f8", count=count, offset=13), path)
 
 
 @dataclass(frozen=True)

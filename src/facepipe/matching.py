@@ -55,34 +55,24 @@ class Gallery:
         self.features = feats
         self._norms = norms
 
-    def __len__(self) -> int:
-        return len(self.subject_ids)
-
-    @property
-    def dimension(self) -> int:
-        return self.features.shape[1]
-
     def distances(self, probes: np.ndarray) -> np.ndarray:
-        """Cosine distance, in gallery order: (G,) for a vector, (P, G) for a batch."""
+        """(P, G) cosine distances of a (P, d) batch of probes, in gallery order."""
         probes = np.asarray(probes, dtype=np.float64)
-        batch = np.atleast_2d(probes)
-        if batch.ndim != 2 or batch.shape[1] != self.dimension:
-            raise ValueError(
-                f"probe dimension {batch.shape[-1]} != gallery dimension {self.dimension}"
-            )
+        d = self.features.shape[1]
+        if probes.ndim != 2 or probes.shape[1] != d:
+            raise ValueError(f"probes {probes.shape}, not (P, {d}): {d} is the gallery dimension")
         # Stacked matrix-vector products: each row is bitwise what a lone probe
         # gets (one gemm sums in another order and moves exact self-matches).
-        column = batch[:, :, None]
-        norms = np.sqrt(np.matmul(batch[:, None, :], column)[:, 0, 0])
+        column = probes[:, :, None]
+        norms = np.sqrt(np.matmul(probes[:, None, :], column)[:, 0, 0])
         if np.any(norms == 0):
             raise ZeroNormError("probe feature has zero norm")
         sims = np.matmul(self.features, column)[:, :, 0] / np.outer(norms, self._norms)
-        dist = 1.0 - np.clip(sims, -1.0, 1.0)
-        return dist[0] if probes.ndim == 1 else dist
+        return 1.0 - np.clip(sims, -1.0, 1.0)
 
     def identity_distances(self, probes: np.ndarray) -> IdentityDistances:
         """Per-identity minimum of distances() for a (P, d) batch of probes."""
-        dist = self.distances(np.atleast_2d(probes))
+        dist = self.distances(probes)
         subjects = tuple(dict.fromkeys(self.subject_ids))
         owner = np.array(self.subject_ids)
         values = np.column_stack([dist[:, owner == sid].min(axis=1) for sid in subjects])
@@ -91,7 +81,7 @@ class Gallery:
 
 def identify(probe: np.ndarray, gallery: Gallery) -> list[tuple[str, float]]:
     """All gallery entries sorted by ascending distance; ties keep gallery order."""
-    dist = gallery.distances(probe)
+    dist = gallery.distances(np.asarray(probe)[None])[0]
     order = np.argsort(dist, kind="stable")
     return [(gallery.subject_ids[i], float(dist[i])) for i in order]
 
@@ -114,8 +104,8 @@ def cmc(scores: IdentityDistances, true_ids) -> np.ndarray:
     return np.cumsum(np.bincount(ranks, minlength=own.shape[1])) / own.shape[0]
 
 
-def roc(genuine, impostor, thresholds: int = 1000) -> np.ndarray:
-    """(FAR, VR) pairs over an even threshold sweep of the pooled score range.
+def roc(genuine, impostor) -> np.ndarray:
+    """(FAR, VR) pairs over an even 1000-threshold sweep of the pooled score range.
 
     VR is the fraction of genuine distances at or below the threshold, FAR
     the same fraction of impostor distances; both are non-decreasing along
@@ -125,11 +115,9 @@ def roc(genuine, impostor, thresholds: int = 1000) -> np.ndarray:
     impostor = np.asarray(impostor, dtype=np.float64).reshape(-1)
     if genuine.size == 0 or impostor.size == 0:
         raise ValueError("need both genuine and impostor distances")
-    if thresholds < 2:
-        raise ValueError("need at least two thresholds")
     pooled_min = min(genuine.min(), impostor.min())
     pooled_max = max(genuine.max(), impostor.max())
-    grid = np.linspace(pooled_min, pooled_max, thresholds)
+    grid = np.linspace(pooled_min, pooled_max, 1000)
     vr = np.searchsorted(np.sort(genuine), grid, side="right") / genuine.size
     far = np.searchsorted(np.sort(impostor), grid, side="right") / impostor.size
     return np.column_stack([far, vr])

@@ -249,9 +249,6 @@ def displacement_field(
     fitted: FitResult, target_beta: np.ndarray, model: MorphableModel
 ) -> np.ndarray:
     """(n, 3) offsets, in scan coordinates, from each fitted vertex to its re-expressed position."""
-    target_beta = np.asarray(target_beta, dtype=np.float64).reshape(-1)
-    if target_beta.shape != (model.ke,):
-        raise ValueError(f"target beta length {target_beta.shape[0]} != {model.ke}")
     deformed = fitted.pose.apply(
         synthesize(model, ModelParams(fitted.params.alpha, target_beta)).points
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import secrets
+import types
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,8 +40,8 @@ class EmptyCropError(ValueError):
 
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"points must have shape (n, 3), got {pts.shape}")
+    if pts.ndim != 2 or pts.shape[1] != 3 or not len(pts):
+        raise ValueError(f"points must have shape (n, 3) with n >= 1, got {pts.shape}")
     if not np.isfinite(pts).all():
         raise ValueError("points contain NaN or Inf coordinates")
     return pts
@@ -48,9 +49,9 @@ def _as_points(points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Unordered set of 3D points in millimeters, with optional named landmarks.
+    """Non-empty unordered set of 3D points in millimeters, with optional named landmarks.
 
-    Arrays are read-only after construction; operations return new clouds.
+    Arrays and landmarks are read-only after construction; operations return new clouds.
     """
 
     points: np.ndarray
@@ -64,7 +65,10 @@ class PointCloud:
             if not np.isfinite(p).all():
                 raise ValueError(f"landmark {name!r} has non-finite coordinates")
             lms[name] = _read_only(p)
-        object.__setattr__(self, "landmarks", lms)
+        object.__setattr__(self, "landmarks", types.MappingProxyType(lms))
+
+    def __reduce__(self):  # a mapping proxy does not pickle; rebuild through the checks
+        return PointCloud, (self.points, dict(self.landmarks))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -144,8 +148,6 @@ class NeighborIndex:
 
     def __init__(self, points: np.ndarray):
         self._points = _read_only(_as_points(points))  # the tree keeps this array too
-        if len(self._points) == 0:
-            raise ValueError("cannot index an empty point list")
         # imported here, so that only the commands that build an index pay for it
         from scipy.spatial import cKDTree
 

@@ -115,11 +115,9 @@ def rigid_icp(
     median distance (floored at the reference sampling resolution), and a
     closed-form SVD update. Returns the total source-to-reference transform
     including the initial guess; the rmse comes from one last correspondence
-    pass after the final update. An empty source is a `ValueError`; any
-    other keeps at least one pair, so ICP always returns.
+    pass after the final update. A `PointCloud` holds at least one point,
+    and rejection keeps at least one pair, so ICP always returns.
     """
-    if len(source) == 0:
-        raise ValueError("ICP source cloud has no points")
     total = init
     moved = init.apply(source.points)
     nearest = WarmNeighbors(reference)

@@ -5,6 +5,7 @@ import inspect
 import json
 import logging
 import re
+import struct
 import sys
 import tracemalloc
 from pathlib import Path
@@ -47,6 +48,12 @@ from facepipe.pointcloud import (
 )
 
 TOY = {"n_vertices": 800, "ks": 5, "ke": 8, "seed": 21}
+
+
+def write_raw_feature_file(values, path):
+    """A feature file's bytes for any values, unchecked: for files the reader rejects."""
+    values = np.asarray(values, dtype="<f8").reshape(-1)
+    Path(path).write_bytes(b"FVEC1" + struct.pack("<Q", values.size) + values.tobytes())
 
 
 @pytest.fixture(scope="module")
@@ -608,7 +615,7 @@ class TestEvaluate:
         feature = tmp_path / "features" / f"{digest}.fvec"
         values = read_feature_file(feature).copy()  # the read is a read-only view
         values[7] = np.nan
-        write_feature_file(values, feature)
+        write_raw_feature_file(values, feature)
         with pytest.raises(FeatureFormatError) as info:
             cmd_evaluate(rendered, rendered, ext_config, tmp_path / "r")
         assert str(info.value) == f"{feature}: non-finite feature value"
@@ -635,7 +642,7 @@ class TestEvaluate:
         # every feature empty: the first one read is named, and no report is made
         self._external(rendered, tmp_path)
         for feature in (tmp_path / "features").glob("*.fvec"):
-            write_feature_file(np.empty(0), feature)
+            write_raw_feature_file(np.empty(0), feature)
         first = hashlib.sha256((rendered / "s00_a.pgm").read_bytes()).hexdigest()
         report = tmp_path / "r"
         argv = ["evaluate", str(rendered), str(rendered), str(report),

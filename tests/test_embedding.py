@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -34,6 +35,12 @@ def eigensolver_oracle(x):
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     return evals[order], evecs[:, order]
+
+
+def write_raw_feature_file(values, path):
+    """A feature file's bytes for any values, unchecked: for files the reader rejects."""
+    values = np.asarray(values, dtype="<f8").reshape(-1)
+    Path(path).write_bytes(b"FVEC1" + struct.pack("<Q", values.size) + values.tobytes())
 
 
 def fit_copy(features, k):
@@ -477,7 +484,7 @@ class TestExternalBackend:
             back[0] = 1.0
 
     def test_feature_file_with_no_values(self, tmp_path):
-        write_feature_file(np.empty(0), tmp_path / "x.fvec")
+        write_raw_feature_file(np.empty(0), tmp_path / "x.fvec")
         with pytest.raises(FeatureFormatError) as info:
             read_feature_file(tmp_path / "x.fvec")
         assert str(info.value) == f"{tmp_path / 'x.fvec'}: no feature values"
@@ -486,7 +493,20 @@ class TestExternalBackend:
     def test_feature_file_non_finite_value(self, tmp_path, bad):
         values = np.random.default_rng(19).normal(size=33)
         values[20] = bad
-        write_feature_file(values, tmp_path / "x.fvec")
+        write_raw_feature_file(values, tmp_path / "x.fvec")
         with pytest.raises(FeatureFormatError) as info:
             read_feature_file(tmp_path / "x.fvec")
         assert str(info.value) == f"{tmp_path / 'x.fvec'}: non-finite feature value"
+
+    @pytest.mark.parametrize("values, message", [
+        (np.empty(0), "no feature values"),
+        (np.array([1.0, np.nan]), "non-finite feature value"),
+        (np.array([[np.inf], [0.5]]), "non-finite feature value"),
+        (np.array([0.5, -np.inf]), "non-finite feature value"),
+    ], ids=["empty", "nan", "inf", "-inf"])
+    def test_writer_rejects_what_the_reader_rejects(self, tmp_path, values, message):
+        # the same error as the read, raised before any file, temporary included, is made
+        with pytest.raises(FeatureFormatError) as info:
+            write_feature_file(values, tmp_path / "x.fvec")
+        assert str(info.value) == f"{tmp_path / 'x.fvec'}: {message}"
+        assert list(tmp_path.iterdir()) == []

@@ -15,8 +15,8 @@ from facepipe.matching import (
 
 
 def cos_dist(a, b) -> float:
-    """Cosine distance through the gallery kernel, one entry and one probe."""
-    return float(Gallery([("g", a)]).distances(np.asarray(b, dtype=float))[0])
+    """Cosine distance through the gallery kernel, one entry and a one-row batch."""
+    return float(Gallery([("g", a)]).distances(np.asarray(b, dtype=float)[None])[0, 0])
 
 
 class TestCosineDistance:
@@ -71,7 +71,7 @@ class TestCosineDistance:
         probes = rng.normal(size=(5, 6))
         batch = gallery.distances(probes)
         for p, row in zip(probes, batch):
-            assert row.tobytes() == gallery.distances(p).tobytes()
+            assert row.tobytes() == gallery.distances(p[None])[0].tobytes()
 
     def test_dimension_mismatch_raises(self):
         gallery = Gallery([("g", [1.0, 0.0, 0.0])])
@@ -134,9 +134,12 @@ class TestIdentityDistances:
             scores.values, np.column_stack([np.minimum(full[:, 0], full[:, 2]), full[:, 1]])
         )
 
-    def test_single_probe_vector(self):
+    def test_single_probe_vector_rejected(self):
+        # a batch only: one probe is a (1, d) row, and the answer is always 2-D
         gallery = Gallery([("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
-        assert gallery.identity_distances(np.array([1.0, 0.0])).values.shape == (1, 2)
+        for method in (gallery.distances, gallery.identity_distances):
+            with pytest.raises(ValueError, match=r"probes \(2,\), not \(P, 2\)"):
+                method(np.array([1.0, 0.0]))
 
 
 def cmc_argsort(scores, true_ids):
@@ -227,36 +230,36 @@ class TestCmc:
         )
         probe = np.array([1.0, 0.3])
         assert [sid for sid, _ in identify(probe, gallery)] == ["A", "A", "B"]
-        curve = cmc(gallery.identity_distances(probe), ["B"])
+        curve = cmc(gallery.identity_distances(probe[None]), ["B"])
         np.testing.assert_array_equal(curve, [0.0, 1.0])
 
     def test_identity_tie_keeps_gallery_order(self):
         v = np.array([1.0, 1.0])
         gallery = Gallery([("first", v), ("second", v.copy())])
-        scores = gallery.identity_distances(v)
+        scores = gallery.identity_distances(v[None])
         np.testing.assert_array_equal(cmc(scores, ["first"]), [1.0, 1.0])
         np.testing.assert_array_equal(cmc(scores, ["second"]), [0.0, 1.0])
 
 
 class TestRoc:
     def test_perfect_separation(self):
-        curve = roc([0.1, 0.2], [0.8, 0.9], thresholds=100)
+        curve = roc([0.1, 0.2], [0.8, 0.9])
         far, vr = curve[:, 0], curve[:, 1]
         assert vr[np.searchsorted(far, 0.0, side="right") - 1] == 1.0
 
     def test_chance_behavior(self):
         rng = np.random.default_rng(7)
         scores = rng.uniform(0, 1, 4000)
-        curve = roc(scores[:2000], scores[2000:], thresholds=200)
+        curve = roc(scores[:2000], scores[2000:])
         assert np.abs(curve[:, 1] - curve[:, 0]).max() < 0.06
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(8)
         genuine = rng.uniform(0, 1, 20)
         impostor = rng.uniform(0, 1, 20)
-        curve = roc(genuine, impostor, thresholds=50)
+        curve = roc(genuine, impostor)
         grid = np.linspace(
-            min(genuine.min(), impostor.min()), max(genuine.max(), impostor.max()), 50
+            min(genuine.min(), impostor.min()), max(genuine.max(), impostor.max()), 1000
         )
         for t, (far, vr) in zip(grid, curve):
             assert vr == pytest.approx(np.mean(genuine <= t))
@@ -264,6 +267,11 @@ class TestRoc:
 
     def test_monotone(self):
         rng = np.random.default_rng(9)
-        curve = roc(rng.uniform(0, 1, 30), rng.uniform(0.2, 1.2, 30), thresholds=64)
+        curve = roc(rng.uniform(0, 1, 30), rng.uniform(0.2, 1.2, 30))
         assert (np.diff(curve[:, 0]) >= 0).all()
         assert (np.diff(curve[:, 1]) >= 0).all()
+
+    def test_one_thousand_thresholds(self):
+        curve = roc([0.3], [0.1, 0.7, 1.9])
+        assert curve.shape == (1000, 2)
+        np.testing.assert_array_equal(curve[[0, -1]], [[1 / 3, 0.0], [1.0, 1.0]])

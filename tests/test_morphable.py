@@ -399,6 +399,12 @@ class TestDisplacementField:
         oracle = deformed - fitted.fitted_points.points
         np.testing.assert_allclose(field, oracle, atol=1e-12)
 
+    @pytest.mark.parametrize("length", [7, 9])
+    def test_wrong_beta_length_rejected(self, toy, fitted, length):
+        # synthesize holds the rule: coefficient lengths must match the bases
+        with pytest.raises(ValueError, match=f"coefficient lengths 5/{length} do not match bases 5/8"):
+            displacement_field(fitted[1], np.zeros(length), toy)
+
 
 @pytest.fixture(scope="module")
 def fitted(toy):

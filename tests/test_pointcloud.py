@@ -1,9 +1,12 @@
+import copy
 import dataclasses
 import os
+import pickle
 import re
 import struct
 import subprocess
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +88,37 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             cloud.points[0, 0] = 1.0
 
+    @pytest.mark.parametrize("build", [PointCloud, NeighborIndex])
+    def test_rejects_empty(self, build):
+        # a point set has a point, so no empty cloud reaches ICP or save_ply
+        with pytest.raises(ValueError, match=re.escape("(n, 3) with n >= 1, got (0, 3)")):
+            build(np.zeros((0, 3)))
+
+    def test_landmarks_read_only(self):
+        cloud = PointCloud(np.zeros((3, 3)), {"nose_tip": np.ones(3)})
+        with pytest.raises(TypeError):
+            cloud.landmarks["nose_tip"] = np.array([np.nan, 0.0, 0.0])
+        with pytest.raises(TypeError):
+            cloud.landmarks["x"] = "junk"
+        with pytest.raises(TypeError):
+            del cloud.landmarks["nose_tip"]
+        assert list(cloud.landmarks) == ["nose_tip"]
+
+    @pytest.mark.parametrize("duplicate", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_keep_points_and_landmarks(self, duplicate):
+        rng = np.random.default_rng(3)
+        landmarks = {"nose_tip": rng.normal(size=3), "chin": [0, 1, 2]}
+        cloud = PointCloud(rng.normal(size=(5, 3)), landmarks)
+        back = duplicate(cloud)
+        assert back.points.tobytes() == cloud.points.tobytes()
+        assert list(back.landmarks) == list(cloud.landmarks)
+        for name, p in cloud.landmarks.items():
+            assert back.landmarks[name].tobytes() == p.tobytes()
+        assert not back.points.flags.writeable
+        with pytest.raises(TypeError):
+            back.landmarks["chin"] = np.zeros(3)
+
 
 class TestReadOnlyRecords:
     """Every ndarray field of a frozen record is read-only once it is built."""
@@ -107,7 +141,7 @@ class TestReadOnlyRecords:
             arrays = []
             for f in dataclasses.fields(record):
                 value = getattr(record, f.name)
-                arrays += value.values() if isinstance(value, dict) else [value]
+                arrays += value.values() if isinstance(value, Mapping) else [value]
             arrays = [a for a in arrays if isinstance(a, np.ndarray)]
             assert arrays, type(record).__name__
             for array in arrays:

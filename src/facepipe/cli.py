@@ -447,7 +447,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument(
             "--workers", type=int, default=os.cpu_count() or 1,
-            help="parallel workers, at least 1 (default: number of processors)",
+            help="at least 1; accepted and unused, as evaluate runs on one thread"
+            if name == "evaluate"
+            else "parallel workers, at least 1 (default: number of processors)",
         )
         p.set_defaults(run=run)
     return parser

@@ -281,15 +281,22 @@ def transfer_expression(
 
 
 def _smooth_random_fields(rng: np.random.Generator, verts: np.ndarray, k: int) -> np.ndarray:
-    """(3n, k) matrix of smooth random deformation fields (not yet orthogonal)."""
+    """(3n, k) matrix of smooth random deformation fields (not yet orthogonal).
+
+    Distances to each field's six centres are summed x, y, then z on
+    contiguous (6, n) planes, and the weights go back to a C-ordered (n, 6)
+    array: the bits of an (n, 6, 3) broadcast, not three elements at a time.
+    """
     n = len(verts)
+    planes = np.ascontiguousarray(verts.T)
     raw = np.empty((3 * n, k))
     for j in range(k):
         centers = verts[rng.integers(0, n, size=6)]
         amplitudes = rng.normal(size=(6, 3))
         sigma = rng.uniform(18.0, 40.0)
-        sq = np.sum((verts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        weights = np.exp(-sq / (2 * sigma**2))
+        dx, dy, dz = (plane - c[:, None] for plane, c in zip(planes, centers.T))
+        sq = (dx * dx + dy * dy) + dz * dz
+        weights = np.ascontiguousarray(np.exp(-sq / (2 * sigma**2)).T)
         raw[:, j] = (weights @ amplitudes).reshape(-1)
     return raw
 
@@ -362,9 +369,8 @@ def make_toy_model(
         rigid[:, 3 + axis] = np.cross(np.broadcast_to(omega, centered.shape), centered).reshape(-1)
     rigid_q, _ = np.linalg.qr(rigid)
 
-    raw = np.hstack(
-        [_smooth_random_fields(rng, mean, ks), _smooth_random_fields(rng, mean, ke)]
-    )
+    # the shape fields draw first, then the expression fields, in one pass
+    raw = _smooth_random_fields(rng, mean, ks + ke)
     raw -= rigid_q @ (rigid_q.T @ raw)
     q, _ = np.linalg.qr(raw)
     return MorphableModel(mean, q[:, :ks] * shape_norm, q[:, ks:] * expr_norm, nose_index)

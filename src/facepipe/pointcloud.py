@@ -472,12 +472,16 @@ def save_ply(cloud: PointCloud, path) -> None:
         f"element vertex {len(cloud)}\n"
         "property float x\nproperty float y\nproperty float z\nend_header\n"
     )
+    with np.errstate(over="ignore"):  # a coordinate beyond float32 range is rejected below
+        body = cloud.points.astype("<f4")
+    if not np.isfinite(body).all():
+        raise ValueError(f"{path}: coordinate beyond float32 range")
     sidecar = _landmark_sidecar(path)
     # the sidecar is settled while the new cloud is still a temporary, so a
     # failure on either leaves the older pair as it was
     with _whole_file(path) as fh:
         fh.write(header.encode("ascii"))
-        fh.write(cloud.points.astype("<f4"))
+        fh.write(body)
         if cloud.landmarks:
             payload = {k: [float(x) for x in v] for k, v in sorted(cloud.landmarks.items())}
             with _whole_file(sidecar, "w") as side:

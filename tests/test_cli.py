@@ -980,7 +980,8 @@ class TestWholeFiles:
 
 
 class TestPerItemFailure:
-    """One bad scan among good ones: it alone fails, by file name, and the rest is written.
+    """One bad scan among good ones: it alone fails, by file name, and the rest is written
+    as a run without it writes it.
 
     The bad scan `s00z_a` sorts between the good ones and is the first scan
     of its own subject, so the per-item lines must come in file order.
@@ -1040,6 +1041,14 @@ class TestPerItemFailure:
         assert (out / "config.resolved.json").exists()
         if command == "augment":
             assert sorted(json.loads((out / "manifest.json").read_text())) == expected
+        # every file, the manifest too, is the one a run without the bad scan writes
+        (source / "s00z_a.ply").unlink()
+        alone = tmp_path / "alone"
+        assert run(source, alone, config, workers=workers) == 0
+        names = sorted(p.name for p in alone.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (alone / name).read_bytes(), name
 
 
 class TestMain:
@@ -1151,6 +1160,17 @@ class TestMain:
             main(["preprocess", str(tmp_path / "raw"), str(tmp_path / "pp"), "--workers", workers])
         assert info.value.code == 2
         assert not (tmp_path / "pp").exists()
+
+    def test_evaluate_workers_unused_yet_checked(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["evaluate", "--help"])
+        assert info.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--workers WORKERS at least 1; accepted and unused, as evaluate runs on one thread" in help_text
+        with pytest.raises(SystemExit) as info:
+            main(["evaluate", "g", "p", str(tmp_path / "report"), "--workers", "0"])
+        assert info.value.code == 2
+        assert not (tmp_path / "report").exists()
 
     def test_seed_flag_changes_augment_outputs(self, toy, tmp_path):
         cfg = tmp_path / "c.json"

@@ -1,11 +1,13 @@
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from facepipe import morphable
 from facepipe.morphable import (
     FitConfig,
     FitError,
@@ -134,6 +136,35 @@ class TestToyModel:
         assert got.points.tobytes() == want.points.tobytes()
         assert list(got.landmarks) == ["nose_tip"]
         assert got.landmarks["nose_tip"].tobytes() == want.landmarks["nose_tip"].tobytes()
+
+    @given(st.integers(50, 1500), st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32))
+    @example(1200, 10, 29, 0)  # c7's model
+    @example(2000, 10, 29, 0)  # the default model
+    @settings(max_examples=25, deadline=None)
+    def test_bases_equal_the_broadcast_reference(self, n, ks, ke, seed):
+        # the reference builds each field on an (n, 6, 3) broadcast, and each
+        # basis on its own before stacking them: the model must not change a bit
+        def broadcast_fields(rng, verts, k):
+            raw = np.empty((3 * len(verts), k))
+            for j in range(k):
+                centers = verts[rng.integers(0, len(verts), size=6)]
+                amplitudes = rng.normal(size=(6, 3))
+                sigma = rng.uniform(18.0, 40.0)
+                sq = np.sum((verts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+                weights = np.exp(-sq / (2 * sigma**2))
+                raw[:, j] = (weights @ amplitudes).reshape(-1)
+            return raw
+
+        def reference_fields(rng, verts, k):
+            assert k == ks + ke
+            return np.hstack([broadcast_fields(rng, verts, ks), broadcast_fields(rng, verts, ke)])
+
+        got = make_toy_model(n, ks, ke, seed)
+        with mock.patch.object(morphable, "_smooth_random_fields", reference_fields):
+            want = make_toy_model(n, ks, ke, seed)
+        for name in ("mean", "shape_basis", "expr_basis"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.nose_index == want.nose_index
 
 
 class TestMorphableModel:

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -759,6 +760,23 @@ class TestPlyIO:
         f.write_bytes(header + struct.pack("<6f", 0, 0, 0, 1, float("nan"), 2))
         with pytest.raises(PlyParseError, match=f"non-finite.*byte {len(header) + 12}"):
             load_ply(f)
+
+    @pytest.mark.parametrize("x", [3.5e38, -1e39, 1e300])
+    def test_coordinate_beyond_float32_names_the_file(self, tmp_path, x):
+        f = tmp_path / "big.ply"
+        cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, x, 2.0]]), {"nose_tip": [1.0, 2.0, 3.0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning from the cast
+            with pytest.raises(ValueError, match=f"^{re.escape(str(f))}: coordinate beyond float32"):
+                save_ply(cloud, f)
+        assert list(tmp_path.iterdir()) == []  # no cloud, temporary or sidecar
+
+    def test_float32_extremes_round_trip(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        pts = np.array([[top, -top, 0.0], [np.finfo(np.float32).tiny, 1.0, -1.0]])
+        f = tmp_path / "edge.ply"
+        save_ply(PointCloud(pts), f)
+        assert load_ply(f).points.tobytes() == pts.tobytes()
 
     def test_write_to_unwritable_path(self, tmp_path):
         cloud = PointCloud(np.zeros((1, 3)))

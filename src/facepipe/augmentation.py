@@ -64,6 +64,8 @@ def apply_patches(
     Squares lie fully inside the canvas and may overlap; this simulates
     hard occlusions such as hair or hands.
     """
+    if not (count >= 0 and size >= 0):
+        raise ValueError("patch count and size must be non-negative")
     if size > min(dmap.height, dmap.width):
         raise ValueError("patch size exceeds map dimensions")
     depth = dmap.depth.copy()

@@ -85,6 +85,17 @@ class PcaModel:
         return self.components.shape[0]
 
 
+def _row_products(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """`rows @ matrix.T` (a lone 1-D row gives a vector) into a new array of its own.
+
+    One matrix-vector product per row, so each row's result is bitwise what that
+    row gets alone: one gemm over the batch would sum in another order and change the bits.
+    """
+    out = np.empty(rows.shape[:-1] + matrix.shape[:1])
+    np.matmul(rows[..., None, :], matrix.T, out=out[..., None, :])
+    return out
+
+
 def _pca(xc: np.ndarray, pick_k) -> PcaModel:
     """Top-k principal axes, k = pick_k(eigenvalues up to numerical rank, desc).
 
@@ -109,17 +120,13 @@ def _pca(xc: np.ndarray, pick_k) -> PcaModel:
     k = pick_k(evals)
     if k > rank:
         raise ValueError(f"k={k} exceeds the numerical rank {rank} of the sample")
-    if gram:
-        # Map each Gram eigenvector back to feature space: xc.T @ v.
-        comps = np.empty((k, d))
-        for i in range(k):
-            vec = xc.T @ evecs[:, i]
-            comps[i] = vec / np.linalg.norm(vec)
-    else:
-        comps = evecs[:, :k].T.copy()
+    # Each Gram eigenvector v maps back to feature space as xc.T @ v, then to unit length.
+    comps = _row_products(evecs[:, :k].T, xc.T) if gram else evecs[:, :k].T.copy()
 
     # Deterministic sign: largest-magnitude entry of each component positive.
     for row in comps:
+        if gram:
+            row /= np.linalg.norm(row)
         j = int(np.argmax(np.abs(row)))
         if row[j] < 0:
             row *= -1
@@ -166,16 +173,12 @@ def pca_fit_variance(x: np.ndarray, variance_target: float, cap: int) -> PcaMode
 
 
 def pca_transform(model: PcaModel, centred: np.ndarray) -> np.ndarray:
-    """Rows already centred on `model.mean` onto the component rows.
-
-    One matrix-vector product per row: one gemm over the batch would sum
-    in another order and change the bits.
-    """
+    """Rows already centred on `model.mean` onto the component rows, each row on its own."""
     centred = np.asarray(centred, dtype=np.float64)
     d = model.mean.shape[0]
     if centred.shape[-1] != d:
         raise ValueError(f"dimension {centred.shape[-1]} does not match model dimension {d}")
-    return np.matmul(centred[..., None, :], model.components.T)[..., 0, :]
+    return _row_products(centred, model.components)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from facepipe.embedding import _row_products
+
 __all__ = [
     "Gallery",
     "IdentityDistances",
@@ -61,13 +63,10 @@ class Gallery:
         d = self.features.shape[1]
         if probes.ndim != 2 or probes.shape[1] != d:
             raise ValueError(f"probes {probes.shape}, not (P, {d}): {d} is the gallery dimension")
-        # Stacked matrix-vector products: each row is bitwise what a lone probe
-        # gets (one gemm sums in another order and moves exact self-matches).
-        column = probes[:, :, None]
-        norms = np.sqrt(np.matmul(probes[:, None, :], column)[:, 0, 0])
+        norms = np.sqrt(np.matmul(probes[:, None, :], probes[:, :, None])[:, 0, 0])
         if np.any(norms == 0):
             raise ZeroNormError("probe feature has zero norm")
-        sims = np.matmul(self.features, column)[:, :, 0] / np.outer(norms, self._norms)
+        sims = _row_products(probes, self.features) / np.outer(norms, self._norms)
         return 1.0 - np.clip(sims, -1.0, 1.0)
 
     def identity_distances(self, probes: np.ndarray) -> IdentityDistances:

@@ -247,7 +247,7 @@ def apply_transform(cloud: PointCloud, transform: RigidTransform) -> PointCloud:
 
 def crop_sphere(cloud: PointCloud, center, radius: float) -> PointCloud:
     """Keep points with ||p - center|| <= radius (boundary inclusive), order preserved."""
-    if radius <= 0:
+    if not radius > 0:  # NaN fails it too
         raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=np.float64).reshape(3)
     keep = np.linalg.norm(cloud.points - center, axis=1) <= radius

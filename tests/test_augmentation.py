@@ -109,6 +109,18 @@ class TestApplyPatches:
         with pytest.raises(ValueError):
             apply_patches(m, np.random.default_rng(7), count=1, size=18)
 
+    @pytest.mark.parametrize("count, size", [(-1, 3), (1, -3)])
+    def test_negative_count_or_size(self, count, size):
+        m = DepthMap(np.ones((10, 10)), np.ones((10, 10), bool))
+        with pytest.raises(ValueError, match="non-negative"):
+            apply_patches(m, np.random.default_rng(11), count, size)
+
+    def test_zero_size_unchanged(self):
+        m = self._map()
+        out = apply_patches(m, np.random.default_rng(12), count=3, size=0)
+        assert out.depth.tobytes() == m.depth.tobytes()
+        assert out.valid.tobytes() == m.valid.tobytes()
+
 
 class TestAugmentSubject:
     def test_output_count(self, toy):

@@ -9,13 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import facepipe
 from facepipe.depthmap import DepthMap, export_pgm, load_pgm, pgm_bytes
 from facepipe.embedding import (
     ExternalBackend,
+    _row_products,
     FeatureFormatError,
     FeatureLookupError,
     baseline_train,
@@ -156,6 +157,19 @@ class TestPcaFit:
             assert top.explained_variance.tobytes() == full.explained_variance[:k].tobytes()
             capped = fit_variance_copy(x, 1.0, cap=k)
             assert capped.components.tobytes() == top.components.tobytes()
+
+    def test_gram_fit_peak_memory(self):
+        # The (k, d) components are the one large array a Gram fit allocates; a
+        # back-map that left them a view would have the record copy them.
+        n, d, k = 40, 20000, 39
+        x = np.random.default_rng(19).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            pca_fit(x, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * k * d * 8
 
     @pytest.mark.parametrize("shape", [(12, 40), (40, 6)], ids=["gram", "covariance"])
     def test_fit_centres_the_input_in_place(self, shape):
@@ -309,6 +323,58 @@ class TestPcaBitwise:
                                  text=True, check=True, timeout=120)
             digests.append(run.stdout.strip())
         assert digests[0] == digests[1]
+
+
+def back_map_loop(xc, evecs, k):
+    """The Gram back-map one component at a time: xc.T @ v, then unit length."""
+    comps = np.empty((k, xc.shape[1]))
+    for i in range(k):
+        vec = xc.T @ evecs[:, i]
+        comps[i] = vec / np.linalg.norm(vec)
+    return comps
+
+
+class TestRowProducts:
+    """`_row_products` against each form it replaced, bit for bit; its result owns its memory."""
+
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 40), g=st.integers(1, 120),
+           d=st.integers(1, 600))
+    @example(seed=0, p=1, g=1, d=1)
+    @example(seed=1, p=1, g=466, d=420)
+    @example(seed=2, p=40, g=1, d=4096)
+    @example(seed=3, p=30, g=466, d=420)
+    @settings(max_examples=100, deadline=None)
+    def test_gallery_scoring(self, seed, p, g, d):
+        rng = np.random.default_rng(seed)
+        probes, features = rng.normal(size=(p, d)), rng.normal(size=(g, d))
+        products = _row_products(probes, features)
+        assert products.base is None
+        assert products.tobytes() == np.matmul(features, probes[:, :, None])[:, :, 0].tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), extra=st.integers(0, 900),
+           short=st.integers(1, 39))
+    @example(seed=0, n=2, extra=0, short=1)
+    @example(seed=1, n=40, extra=0, short=39)
+    @example(seed=2, n=300, extra=3796, short=1)
+    @settings(max_examples=100, deadline=None)
+    def test_back_map_and_projection(self, seed, n, extra, short):
+        rng = np.random.default_rng(seed)
+        d, k = n + extra, max(n - short, 1)  # short = 1 gives k = n - 1
+        xc = rng.normal(size=(n, d)) + 3.0
+        xc -= xc.mean(axis=0)
+        evals, evecs = np.linalg.eigh(xc @ xc.T / (n - 1))
+        evecs = evecs[:, np.argsort(evals)[::-1]]
+        comps = _row_products(evecs[:, :k].T, xc.T)
+        assert comps.base is None
+        for row in comps:
+            row /= np.linalg.norm(row)
+        assert comps.tobytes() == back_map_loop(xc, evecs, k).tobytes()
+        coded = _row_products(xc, comps)
+        assert coded.base is None
+        assert coded.tobytes() == np.matmul(xc[..., None, :], comps.T)[..., 0, :].tobytes()
+        lone = _row_products(xc[-1], comps)
+        assert lone.shape == (k,) and lone.base is None
+        assert lone.tobytes() == np.matmul(xc[-1][..., None, :], comps.T)[..., 0, :].tobytes()
 
 
 class TestBaselineBackend:

@@ -300,6 +300,13 @@ class TestCropSphere:
         with pytest.raises(EmptyCropError):
             crop_sphere(cloud, [1000.0, 0, 0], 1.0)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+    def test_radius_not_positive(self, radius):
+        cloud = PointCloud(np.zeros((5, 3)))
+        with pytest.raises(ValueError, match="radius must be positive") as raised:
+            crop_sphere(cloud, [0, 0, 0], radius)
+        assert not isinstance(raised.value, EmptyCropError)
+
     def test_subset_and_idempotent(self):
         rng = np.random.default_rng(5)
         cloud = PointCloud(rng.uniform(-120, 120, (200, 3)))

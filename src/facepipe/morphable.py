@@ -383,8 +383,8 @@ def save_model(model: MorphableModel, path) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<QQQ", n, ks, ke))
         fh.write(model.mean.reshape(-1).astype("<f8").tobytes())
-        fh.write(model.shape_basis.astype(np.float64).tobytes(order="F"))
-        fh.write(model.expr_basis.astype(np.float64).tobytes(order="F"))
+        fh.write(model.shape_basis.astype("<f8").tobytes(order="F"))
+        fh.write(model.expr_basis.astype("<f8").tobytes(order="F"))
         fh.write(struct.pack("<q", model.nose_index))
 
 

@@ -477,11 +477,12 @@ def save_ply(cloud: PointCloud, path) -> None:
     if not np.isfinite(body).all():
         raise ValueError(f"{path}: coordinate beyond float32 range")
     sidecar = _landmark_sidecar(path)
-    # the sidecar is settled while the new cloud is still a temporary, so a
-    # failure on either leaves the older pair as it was
+    # the cloud is flushed, then the sidecar settled, while the cloud is still a
+    # temporary, so a failure on either (a full disk too) leaves the older pair
     with _whole_file(path) as fh:
         fh.write(header.encode("ascii"))
         fh.write(body)
+        fh.flush()
         if cloud.landmarks:
             payload = {k: [float(x) for x in v] for k, v in sorted(cloud.landmarks.items())}
             with _whole_file(sidecar, "w") as side:

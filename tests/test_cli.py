@@ -959,6 +959,32 @@ class TestWholeFiles:
             write(tmp_path)
         assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == pair
 
+    @pytest.mark.parametrize("kind", ["sidecar", "ply"])
+    def test_full_disk_at_flush_keeps_the_older_pair(self, tmp_path, monkeypatch, kind):
+        """The new cloud fits in the file's buffer, so a full disk shows only when
+        the buffer is flushed, closing included: the older pair stays as it was."""
+        import builtins
+        import io
+
+        import facepipe.pointcloud
+
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                raise OSError(28, "No space left on device")
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            if Path(path).name.startswith(".x.ply."):
+                return io.BufferedWriter(FullDisk(path, mode.replace("b", "")))
+            return builtins.open(path, mode, *args, **kwargs)
+
+        save_ply(PointCloud(np.arange(9.0).reshape(3, 3), {"nose_tip": [1.0, 2.0, 3.0]}),
+                 tmp_path / "x.ply")
+        pair = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        monkeypatch.setattr(facepipe.pointcloud, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            self.WRITERS[kind][0](tmp_path)
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == pair
+
     @pytest.mark.parametrize("kind", list(WRITERS))
     def test_failed_create_names_the_file(self, tmp_path, kind):
         write, name = self.WRITERS[kind]

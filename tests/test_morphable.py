@@ -232,6 +232,19 @@ class TestModelFile:
         assert np.array_equal(back.expr_basis, toy.expr_basis)
         assert back.nose_index == toy.nose_index
 
+    def test_file_matches_the_readme_layout(self, toy, tmp_path):
+        """README's MLMM1 layout, built field by field in explicit little-endian
+        formats, so the bytes do not depend on the host's byte order."""
+        path = tmp_path / "toy.mlmm"
+        save_model(toy, path)
+        n = toy.n_vertices
+        expected = [b"MLMM1", struct.pack("<QQQ", n, toy.ks, toy.ke),
+                    struct.pack(f"<{3 * n}d", *toy.mean.reshape(-1))]
+        for basis in (toy.shape_basis, toy.expr_basis):  # column-major: column after column
+            expected.append(struct.pack(f"<{basis.size}d", *basis.T.reshape(-1)))
+        expected.append(struct.pack("<q", toy.nose_index))
+        assert path.read_bytes() == b"".join(expected)
+
     def test_non_finite_mean_rejected_at_load(self, toy, tmp_path):
         # the mean is the first array after the 29-byte header
         path = tmp_path / "nan.mlmm"

@@ -47,18 +47,14 @@ class AugmentPlan:
             raise ValueError("bounds must be positive and finite")
 
 
-def random_rigid(
-    rng: np.random.Generator, angle_bound: float = 10.0, translation_bound: float = 10.0
-) -> RigidTransform:
+def random_rigid(rng: np.random.Generator, angle_bound: float, translation_bound: float) -> RigidTransform:
     """Rotation Rz(t3)Ry(t2)Rx(t1) and translation with uniform bounded draws."""
     theta = rng.uniform(-angle_bound, angle_bound, 3)
     translation = rng.uniform(-translation_bound, translation_bound, 3)
     return RigidTransform(rotation_zyx(*theta), translation)
 
 
-def apply_patches(
-    dmap: DepthMap, rng: np.random.Generator, count: int = 8, size: int = 18
-) -> DepthMap:
+def apply_patches(dmap: DepthMap, rng: np.random.Generator, count: int, size: int) -> DepthMap:
     """Blank out `count` random size x size squares (depth 0, invalid).
 
     Squares lie fully inside the canvas and may overlap; this simulates

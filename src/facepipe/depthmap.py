@@ -138,7 +138,7 @@ def render_depth(cloud: PointCloud, params: RenderParams = RenderParams()) -> De
     return DepthMap(depth, valid)
 
 
-def median_filter(dmap: DepthMap, kernel: int = 3) -> DepthMap:
+def median_filter(dmap: DepthMap, kernel: int) -> DepthMap:
     """Replace each valid pixel by the median of the valid pixels in its window.
 
     Invalid neighbors are excluded; the validity mask is unchanged. An even
@@ -222,15 +222,18 @@ def render_pipeline(cloud: PointCloud, params: RenderParams = RenderParams()) ->
     return resize(dmap, params.final_size)
 
 
+_PGM_SCALE = 257.0  # a stored value per unit of 0..255 depth: 255 * 257 is maxval 65535
+
+
 def pgm_bytes(dmap: DepthMap) -> bytes:
-    """Serialize as a 16-bit big-endian binary PGM; values are round(depth*257).
+    """Serialize as a 16-bit big-endian binary PGM; values are round(depth * _PGM_SCALE).
 
     The map must be normalized (depths within 0..255).
     """
     # tolerance absorbs one-ulp overshoot from bilinear resampling
     if dmap.depth.min() < -1e-6 or dmap.depth.max() > 255.0 + 1e-6:
         raise ValueError("map is not normalized to 0..255; call normalize() first")
-    values = np.rint(np.clip(dmap.depth, 0.0, 255.0) * 257.0).astype(">u2")
+    values = np.rint(np.clip(dmap.depth, 0.0, 255.0) * _PGM_SCALE).astype(">u2")
     return _pgm_header(dmap.width, dmap.height) + values.tobytes()
 
 
@@ -285,5 +288,5 @@ def load_pgm(path) -> DepthMap:
     Zero-valued pixels are treated as invalid, matching the export of
     normalized maps where invalid pixels carry 0.
     """
-    depth = read_pgm(path) / 257.0
+    depth = read_pgm(path) / _PGM_SCALE
     return DepthMap(depth, depth != 0)

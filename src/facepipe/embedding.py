@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from facepipe.depthmap import _pgm_header, read_pgm
+from facepipe.depthmap import _PGM_SCALE, _pgm_header, read_pgm
 from facepipe.pointcloud import _set_read_only, _whole_file
 
 __all__ = [
@@ -201,10 +201,10 @@ def _map_row(path, size: int, out: np.ndarray | None = None) -> np.ndarray:
     if values.shape != (size, size):
         h, w = values.shape
         raise ValueError(f"{path}: expected {size}x{size} map, got {h}x{w}")
-    return np.divide(values.reshape(-1), 257.0, out=out)
+    return np.divide(values.reshape(-1), _PGM_SCALE, out=out)
 
 
-def baseline_train(files, d: int, map_size: int = 224) -> BaselineBackend:
+def baseline_train(files, d: int, map_size: int) -> BaselineBackend:
     """Fit the eigen-depth-map basis on the maps of the training PGM files.
 
     Each file is decoded straight into its row of one (n, map_size**2)

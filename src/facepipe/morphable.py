@@ -232,7 +232,7 @@ def fit(model: MorphableModel, scan: PointCloud, config: FitConfig = FitConfig()
     return FitResult(ModelParams(alpha, beta), pose, PointCloud(posed), rmse, converged, iterations)
 
 
-def random_expression(rng: np.random.Generator, ke: int = 29) -> np.ndarray:
+def random_expression(rng: np.random.Generator, ke: int) -> np.ndarray:
     """Coefficients with a random active subset, each strictly inside (-0.05, 0.05)."""
     k = int(rng.integers(1, ke + 1))
     active = rng.choice(ke, size=k, replace=False)
@@ -336,7 +336,8 @@ def toy_mean_cloud(config: ToyModelConfig) -> PointCloud:
 
 
 def make_toy_model(
-    n_vertices: int = 2000, ks: int = 10, ke: int = 29, seed: int = 0
+    n_vertices: int = ToyModelConfig.n_vertices, ks: int = ToyModelConfig.ks,
+    ke: int = ToyModelConfig.ke, seed: int = ToyModelConfig.seed,
 ) -> MorphableModel:
     """Procedural face-like model: elliptic dome shell with a nose bump.
 

@@ -477,15 +477,30 @@ def save_ply(cloud: PointCloud, path) -> None:
     if not np.isfinite(body).all():
         raise ValueError(f"{path}: coordinate beyond float32 range")
     sidecar = _landmark_sidecar(path)
+    try:  # the older sidecar, or its absence, is held until the cloud is in place
+        older = sidecar.read_bytes()
+    except FileNotFoundError:
+        older = None
     # the cloud is flushed, then the sidecar settled, while the cloud is still a
     # temporary, so a failure on either (a full disk too) leaves the older pair
-    with _whole_file(path) as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(body)
-        fh.flush()
-        if cloud.landmarks:
-            payload = {k: [float(x) for x in v] for k, v in sorted(cloud.landmarks.items())}
-            with _whole_file(sidecar, "w") as side:
-                side.write(json.dumps(payload, sort_keys=True, indent=1))
-        else:  # a stale sidecar would hand its landmarks to this cloud
-            sidecar.unlink(missing_ok=True)
+    settled = False
+    try:
+        with _whole_file(path) as fh:
+            fh.write(header.encode("ascii"))
+            fh.write(body)
+            fh.flush()
+            if cloud.landmarks:
+                payload = {k: [float(x) for x in v] for k, v in sorted(cloud.landmarks.items())}
+                with _whole_file(sidecar, "w") as side:
+                    side.write(json.dumps(payload, sort_keys=True, indent=1))
+            else:  # a stale sidecar would hand its landmarks to this cloud
+                sidecar.unlink(missing_ok=True)
+            settled = True
+    except BaseException:
+        if settled:  # the cloud's final rename failed: the older sidecar goes back
+            if older is None:
+                sidecar.unlink(missing_ok=True)
+            else:
+                with _whole_file(sidecar) as side:
+                    side.write(older)
+        raise

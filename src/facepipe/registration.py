@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from facepipe.depthmap import RenderParams
 from facepipe.pointcloud import (
     NeighborIndex,
     PointCloud,
@@ -152,7 +153,7 @@ def preprocess_with_result(
     reference: NeighborIndex,
     reference_nose: np.ndarray,
     params: IcpParams = IcpParams(),
-    crop_radius: float = 100.0,
+    crop_radius: float = RenderParams.crop_radius,
 ) -> tuple[PointCloud, IcpResult]:
     """Nose-crop a scan and align it rigidly to the reference face.
 

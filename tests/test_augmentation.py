@@ -63,8 +63,8 @@ class TestRandomRigid:
         np.testing.assert_allclose(t.translation, 0.0, atol=1e-12)
 
     def test_seed_reproducible_and_euler_round_trip(self):
-        a = random_rigid(np.random.default_rng(7))
-        b = random_rigid(np.random.default_rng(7))
+        a = random_rigid(np.random.default_rng(7), 10.0, 10.0)
+        b = random_rigid(np.random.default_rng(7), 10.0, 10.0)
         assert np.array_equal(a.rotation, b.rotation)
         assert np.array_equal(a.translation, b.translation)
         # angles drawn first: x, y, z; matrix must reproduce them

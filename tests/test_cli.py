@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import logging
+import os
 import re
 import struct
 import sys
@@ -304,6 +305,24 @@ class TestPreprocess:
 
         dist, _ = NeighborIndex(toy.mean).query_many(aligned.points)
         assert np.sqrt(np.mean(dist**2)) < 0.1
+
+    def test_reference_from_the_model_path_alone(self, toy, tmp_path):
+        """With only `morphable_model_path` set, the reference is that model's mean shape."""
+        model_file = tmp_path / "toy.mlmm"
+        save_model(make_toy_model(**TOY), model_file)
+        raw = tmp_path / "raw"
+        write_raw_scans(toy, raw, n_subjects=2, scans_each=1)
+        by_toy, by_path = tmp_path / "by-toy", tmp_path / "by-path"
+        assert cmd_preprocess(raw, by_toy, load_config(overrides={"toy_model": TOY})) == 0
+        # the default toy_model section differs from TOY: only the model file gives TOY's mean
+        config = load_config(overrides={"morphable_model_path": str(model_file)})
+        assert cmd_preprocess(raw, by_path, config) == 0
+
+        def outputs(directory):
+            return {p.name: p.read_bytes() for p in directory.iterdir() if p.name != "config.resolved.json"}
+
+        assert sorted(outputs(by_toy)) == ["s00_a.ply", "s01_a.ply"]
+        assert outputs(by_path) == outputs(by_toy)
 
     def test_builds_no_model_basis(self, toy, tmp_path, monkeypatch, caplog):
         cfg = tmp_path / "c.json"
@@ -984,6 +1003,36 @@ class TestWholeFiles:
         with pytest.raises(OSError, match="No space left"):
             self.WRITERS[kind][0](tmp_path)
         assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == pair
+
+    @pytest.mark.parametrize(
+        "older_landmarks, new_landmarks", [(True, True), (True, False), (False, True)],
+        ids=["sidecar-replaced", "sidecar-removed", "sidecar-made"],
+    )
+    def test_failed_ply_rename_keeps_the_older_pair(
+        self, tmp_path, monkeypatch, older_landmarks, new_landmarks
+    ):
+        """The sidecar is settled before the cloud's final rename; when that rename
+        fails, the older sidecar, or its absence, comes back beside the older cloud."""
+        f = tmp_path / "x.ply"
+        older = {"nose_tip": [1.0, 2.0, 3.0]} if older_landmarks else {}
+        save_ply(PointCloud(np.arange(9.0).reshape(3, 3), older), f)
+        pair = {g.name: g.read_bytes() for g in tmp_path.iterdir()}
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).name == "x.ply":
+                raise OSError(5, "Input/output error")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        new = {"nose_tip": [9.0, 9.0, 9.0]} if new_landmarks else {}
+        with pytest.raises(OSError, match="Input/output error"):
+            save_ply(PointCloud(np.ones((5, 3)), new), f)
+        monkeypatch.undo()
+        assert {g.name: g.read_bytes() for g in tmp_path.iterdir()} == pair
+        cloud = load_ply(f)
+        np.testing.assert_array_equal(cloud.points, np.arange(9.0).reshape(3, 3))
+        assert {k: v.tolist() for k, v in cloud.landmarks.items()} == older
 
     @pytest.mark.parametrize("kind", list(WRITERS))
     def test_failed_create_names_the_file(self, tmp_path, kind):

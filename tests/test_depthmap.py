@@ -261,12 +261,12 @@ class TestMedianFilter:
     def test_spike_removed(self):
         depth = np.zeros((7, 7))
         depth[3, 3] = 100.0
-        m = median_filter(DepthMap(depth, np.ones((7, 7), bool)))
+        m = median_filter(DepthMap(depth, np.ones((7, 7), bool)), 3)
         assert m.depth[3, 3] == 0.0
 
     def test_constant_unchanged(self):
         m = DepthMap(np.full((5, 5), 42.0), np.ones((5, 5), bool))
-        np.testing.assert_array_equal(median_filter(m).depth, m.depth)
+        np.testing.assert_array_equal(median_filter(m, 3).depth, m.depth)
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(12)
@@ -274,7 +274,7 @@ class TestMedianFilter:
         valid = rng.uniform(size=(10, 10)) > 0.25
         depth[~valid] = 0.0
         m = DepthMap(depth, valid)
-        got = median_filter(m)
+        got = median_filter(m, 3)
         np.testing.assert_array_equal(got.depth, median_oracle(m, 3))
         np.testing.assert_array_equal(got.valid, valid)
 
@@ -293,7 +293,7 @@ class TestMedianFilter:
         depth[valid] = np.arange(1.0, 11.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = median_filter(DepthMap(depth, valid))
+            out = median_filter(DepthMap(depth, valid), 3)
         assert [str(w.message) for w in caught] == []
         assert out.depth[9, 9] == 10.0
         assert not out.depth[~valid].any()
@@ -314,7 +314,7 @@ class TestMedianFilter:
     def test_even_count_takes_mean_of_middle_pair(self):
         # center (0, 0) sees four valid pixels, 1, 2, 4 and 8: median (2 + 4) / 2
         depth = np.array([[1.0, 2.0, 0.0], [4.0, 8.0, 0.0]])
-        m = median_filter(DepthMap(depth, depth != 0))
+        m = median_filter(DepthMap(depth, depth != 0), 3)
         assert m.depth[0, 0] == 3.0
         assert m.depth[1, 1] == 3.0
 
@@ -403,6 +403,46 @@ class TestRenderPipeline:
         want = median_reference(want, params.median_kernel)
         want = resize_reference(normalize(want, window), params.final_size)
         assert pgm_bytes(render_pipeline(PointCloud(pts), params)) == pgm_bytes(want)
+
+
+class TestChecks:
+    """Each check of a map, a step or a PGM header raises ValueError with its message."""
+
+    @pytest.mark.parametrize(
+        "depth, valid, message",
+        [
+            (np.zeros(3), np.ones(3, bool), "depth and valid must be matching 2-D arrays"),
+            (np.zeros((2, 2)), np.ones((2, 3), bool), "depth and valid must be matching 2-D arrays"),
+            (np.zeros((0, 3)), np.ones((0, 3), bool), "map must have positive size"),
+            (np.array([[np.inf, 1.0]]), np.ones((1, 2), bool), "valid pixels must be finite"),
+            (np.array([[1.0, 2.0]]), np.array([[True, False]]), "invalid pixels must carry depth 0"),
+        ],
+        ids=["1-d", "mismatched", "empty", "non-finite", "invalid-nonzero"],
+    )
+    def test_depth_map_checks(self, depth, valid, message):
+        with pytest.raises(ValueError) as info:
+            DepthMap(depth, valid)
+        assert str(info.value) == message
+
+    def test_normalize_needs_a_valid_pixel(self):
+        with pytest.raises(ValueError) as info:
+            normalize(DepthMap(np.zeros((3, 3)), np.zeros((3, 3), bool)))
+        assert str(info.value) == "cannot normalize a map with no valid pixels"
+
+    @pytest.mark.parametrize("target", [1, 0, -4])
+    def test_resize_target_below_two(self, target):
+        with pytest.raises(ValueError) as info:
+            resize(DepthMap(np.ones((4, 4)), np.ones((4, 4), bool)), target)
+        assert str(info.value) == "target must be >= 2"
+
+    def test_header_token_longer_than_int_converts(self, tmp_path):
+        # 5000 digits is past int()'s default limit on decimal digits
+        path = tmp_path / "wide.pgm"
+        path.write_bytes(b"P5\n" + b"1" * 5000 + b" 1\n65535\n" + b"\x00" * 8)
+        for read in (read_pgm, feature_hash):
+            with pytest.raises(ValueError) as info:
+                read(path)
+            assert str(info.value) == f"{path}: malformed PGM header"
 
 
 class TestPgm:

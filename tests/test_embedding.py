@@ -19,6 +19,7 @@ from facepipe.embedding import (
     _row_products,
     FeatureFormatError,
     FeatureLookupError,
+    PcaModel,
     baseline_train,
     pca_fit,
     pca_fit_variance,
@@ -227,6 +228,57 @@ class TestPcaFit:
         assert cum[-1] / evals.sum() >= 0.95
         smaller = fit_variance_copy(base, 0.95, cap=model.k - 1)
         assert smaller.k == model.k - 1
+
+
+class TestChecks:
+    """Each check of a PCA model, a fit's target, a feature file or a feature directory."""
+
+    @pytest.mark.parametrize(
+        "mean, components, variance, message",
+        [
+            (np.zeros(3), np.eye(2), [2.0, 1.0], "components must be (k, d) matching the mean"),
+            (np.zeros(2), np.zeros(2), [1.0], "components must be (k, d) matching the mean"),
+            (np.zeros(2), np.eye(2), [1.0], "one variance per component required"),
+            (np.zeros(2), np.eye(2), [1.0, 2.0], "explained_variance must be non-increasing and >= 0"),
+            (np.zeros(2), np.eye(2), [1.0, -1.0], "explained_variance must be non-increasing and >= 0"),
+        ],
+        ids=["width", "1-d", "variance-count", "increasing", "negative"],
+    )
+    def test_pca_model_checks(self, mean, components, variance, message):
+        with pytest.raises(ValueError) as info:
+            PcaModel(mean, components, variance)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("target", [0.0, -0.5, 1.5, float("nan")])
+    def test_variance_target_outside_range(self, target):
+        x = np.random.default_rng(13).normal(size=(6, 4))
+        before = x.copy()
+        with pytest.raises(ValueError) as info:
+            pca_fit_variance(x, target, 2)
+        assert str(info.value) == "variance_target must be in (0, 1]"
+        assert x.tobytes() == before.tobytes()  # rejected before any row is centred
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [(b"FVEC2" + struct.pack("<Q", 1) + bytes(8), "bad magic, expected b'FVEC1'"),
+         (b"FVEC1\x01\x00\x00", "truncated header")],
+        ids=["magic", "short-header"],
+    )
+    def test_feature_file_header(self, tmp_path, data, message):
+        path = tmp_path / "x.fvec"
+        path.write_bytes(data)
+        with pytest.raises(FeatureFormatError) as info:
+            read_feature_file(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("kind", ["absent", "file"])
+    def test_external_backend_needs_a_directory(self, tmp_path, kind):
+        directory = tmp_path / "features"
+        if kind == "file":
+            directory.write_bytes(b"")
+        with pytest.raises(FileNotFoundError) as info:
+            ExternalBackend(directory)
+        assert str(info.value) == f"feature directory {directory} does not exist"
 
 
 class TestPcaTransform:

@@ -275,3 +275,24 @@ class TestRoc:
         curve = roc([0.3], [0.1, 0.7, 1.9])
         assert curve.shape == (1000, 2)
         np.testing.assert_array_equal(curve[[0, -1]], [[1 / 3, 0.0], [1.0, 1.0]])
+
+
+class TestChecks:
+    """An empty gallery, probe set or ROC side raises ValueError with its message."""
+
+    def test_empty_gallery(self):
+        with pytest.raises(ValueError) as info:
+            Gallery([])
+        assert str(info.value) == "gallery needs at least one entry"
+
+    def test_cmc_without_a_probe(self):
+        scores = IdentityDistances(("a", "b"), np.empty((0, 2)))
+        with pytest.raises(ValueError) as info:
+            cmc(scores, [])
+        assert str(info.value) == "need at least one probe"
+
+    @pytest.mark.parametrize("genuine, impostor", [([], [0.5]), ([0.5], []), ([], [])])
+    def test_roc_with_an_empty_side(self, genuine, impostor):
+        with pytest.raises(ValueError) as info:
+            roc(genuine, impostor)
+        assert str(info.value) == "need both genuine and impostor distances"

@@ -289,14 +289,14 @@ class TestModelFile:
 class TestRandomExpression:
     def test_within_strict_bound_and_nonzero(self):
         for seed in range(20):
-            beta = random_expression(np.random.default_rng(seed))
+            beta = random_expression(np.random.default_rng(seed), 29)
             assert beta.shape == (29,)
             assert np.abs(beta).max() < 0.05
             assert np.count_nonzero(beta) >= 1
 
     def test_deterministic(self):
-        a = random_expression(np.random.default_rng(99))
-        b = random_expression(np.random.default_rng(99))
+        a = random_expression(np.random.default_rng(99), 29)
+        b = random_expression(np.random.default_rng(99), 29)
         assert np.array_equal(a, b)
 
     def test_monte_carlo_distribution(self):
@@ -304,7 +304,7 @@ class TestRandomExpression:
         counts = set()
         peak = 0.0
         for _ in range(10_000):
-            beta = random_expression(rng)
+            beta = random_expression(rng, 29)
             counts.add(int(np.count_nonzero(beta)))
             peak = max(peak, float(np.abs(beta).max()))
         assert peak < 0.05
@@ -422,6 +422,16 @@ class TestFit:
     def test_too_few_points(self, toy):
         with pytest.raises(FitError):
             fit(toy, PointCloud(toy.mean[:10]))
+
+    def test_singular_normal_equations(self):
+        # with no ridge, two equal expression columns make the beta system singular
+        toy = make_toy_model(300, 3, 4, seed=2)
+        expr = toy.expr_basis.copy()
+        expr[:, 1] = expr[:, 0]
+        twin = MorphableModel(toy.mean, toy.shape_basis, expr, toy.nose_index)
+        with pytest.raises(FitError) as info:
+            fit(twin, toy.mean_cloud(), FitConfig(ridge=0.0))
+        assert str(info.value).startswith("singular regularized normal equations: ")
 
 
 class TestDisplacementField:

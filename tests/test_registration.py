@@ -139,6 +139,15 @@ class TestDetectNoseTip:
         with pytest.raises(NoseDetectionError):
             detect_nose_tip(PointCloud(np.random.default_rng(1).normal(size=(50, 3))))
 
+    def test_empty_central_band_fails(self):
+        # two columns at x = -30 and x = +30 mm: no point within the central 40% of x
+        rng = np.random.default_rng(4)
+        x = np.repeat([-30.0, 30.0], 100)
+        pts = np.column_stack([x, rng.uniform(-100, 100, 200), rng.normal(0, 3, 200)])
+        with pytest.raises(NoseDetectionError) as info:
+            detect_nose_tip(PointCloud(pts))
+        assert str(info.value) == "no points in the central horizontal band"
+
 
 class TestIcpParams:
     @pytest.mark.parametrize(

@@ -18,11 +18,9 @@ from typing import Iterator
 
 SCRIPT = Path(__file__).resolve()
 TREE = SCRIPT.parent.parent
-# default, c7's and a small toy model; no case's commands build the default one
+# the default, c7's and a small toy model, saved whole: the README case's augment builds
+# the default one, but no case's commands write a model's bytes
 MODELS = [(2000, 10, 29, 0), (1200, 10, 29, 0), (57, 3, 5, 9)]
-README_COMMANDS = [["preprocess", "raw", "aligned"], ["augment", "aligned", "augmented"],
-                   ["render", "aligned", "patched", "--patches"], ["render", "augmented", "maps"],
-                   ["evaluate", "maps", "maps", "report"]]
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1"}
 
 
@@ -48,13 +46,13 @@ def workload_cases(work: Path) -> Iterator[Path]:
 
 
 def readme_case(work: Path) -> Path:
-    """README's session, from the raw scans and config its scan block makes with this tree."""
-    case = _case(work / "cases" / "readme",
-                 [argv + ["--config", "config.json", "--workers", "1"] for argv in README_COMMANDS])
+    """README's session: its `facepipe` lines, from the raw scans and config its scan script makes."""
     session = (TREE / "README.md").read_text().split("A minimal end-to-end session", 1)[1]
-    block = session.split("```sh\n", 1)[1]
-    block = block[: block.index("\nPY\n") + 4]  # up to the end of the scan script
-    subprocess.run(["sh", "-e", "-c", block], cwd=case / "start", env=_env(TREE), check=True)
+    block = session.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("facepipe ")]
+    case = _case(work / "cases" / "readme", [argv + ["--workers", "1"] for argv in lines])
+    script = block[: block.index("\nPY\n") + 4]  # the scan script, before the first command
+    subprocess.run(["sh", "-e", "-c", script], cwd=case / "start", env=_env(TREE), check=True)
     return case
 
 

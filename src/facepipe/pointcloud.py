@@ -199,41 +199,40 @@ class WarmNeighbors:
     Each answer equals `index.query_many(points)` bit for bit, but a row asks
     the tree only when a bound cannot prove that its last nearest point is
     still its unique nearest. The bound is the triangle inequality: a row
-    whose second-nearest stored point was at distance L at its last tree
-    query, and which has moved a total of D since, is farther than L - D from
-    every stored point but its nearest. If its distance d to that point is
-    below L - D, with a relative margin far above rounding, nothing ties it,
-    so the tree and the tie rule would return exactly that point and d; d is
-    summed as cKDTree sums it. Every other row, and every row after the row
-    count changes, goes through the tree. The state belongs to one sequence
-    of calls: make one per loop, never share one between threads.
+    whose second-nearest stored point was at distance L when the tree last
+    settled it at position a, and which is now at distance D from a, is
+    farther than L - D from every stored point but its nearest. If its
+    distance d to that point is below L - D, with a relative margin far above
+    rounding, nothing ties it, so the tree and the tie rule would return
+    exactly that point and d; d is summed as cKDTree sums it. Every other
+    row, and every row after the row count changes, goes through the tree.
+    The state belongs to one sequence of calls: make one per loop, never
+    share one between threads.
     """
 
-    # relative slack on L; the rounding in d, D and L adds up to about 1e-16 of L
-    # per call, so the bound stays sound for millions of calls
+    # relative slack on L; d and D are computed afresh each call, so the rounding
+    # in d, D and L stays about 1e-16 of L however many calls a row stays off the tree
     _MARGIN = 1e-9
 
     def __init__(self, index: NeighborIndex):
         self._index = index
-        self._rows = None  # the rows of the last call
+        self._at = None  # each row's position at its last tree query
 
     def query_many(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nearest stored point of each row; (distances, indices) as `index.query_many`."""
-        pts = np.array(np.atleast_2d(points), dtype=np.float64)
-        if self._rows is not None and self._rows.shape == pts.shape:
-            self._moved += _lengths(pts - self._rows)
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if self._at is not None and self._at.shape == pts.shape:
             dist = _lengths(pts - self._index.points[self._nearest])
-            fresh = np.flatnonzero(~(dist + self._moved < self._bound))
+            fresh = np.flatnonzero(~(dist + _lengths(pts - self._at) < self._bound))
         else:
             n = len(pts)
             dist, self._nearest = np.empty(n), np.empty(n, dtype=np.intp)
-            self._bound, self._moved = np.empty(n), np.empty(n)
+            self._at, self._bound = np.empty_like(pts), np.empty(n)
             fresh = np.arange(n)
         if fresh.size:
-            dist[fresh], self._nearest[fresh], second = self._index._nearest_two(pts[fresh])
+            self._at[fresh] = rows = pts[fresh]
+            dist[fresh], self._nearest[fresh], second = self._index._nearest_two(rows)
             self._bound[fresh] = second * (1.0 - self._MARGIN)
-            self._moved[fresh] = 0.0
-        self._rows = pts
         return dist, self._nearest.copy()
 
 
@@ -382,42 +381,33 @@ def load_ply(path) -> PointCloud:
 
     if fmt == "ascii":
         body = raw[offset:].decode("ascii", errors="replace").split("\n")
-        # one entry per non-blank line; skip elements declared before vertex
+        # (file line, values) of each non-blank line; skip elements declared before vertex
+        data = [(len(lines) + 1 + i, tok) for i, tok in enumerate(map(str.split, body)) if tok]
         skip = sum(e[1] for e in elements[:vert_pos])
-        data_lines = [l for l in body if l.strip()]
-
-        def line_of(k: int) -> str:
-            """The file line of data line k; past the last one, the line after it."""
-            at = [i for i, l in enumerate(body) if l.strip()]
-            at.append(at[-1] + 1 if at else 0)
-            return f"line {len(lines) + 1 + at[k]}"
-
-        if len(data_lines) < skip + n_vertices:
+        if len(data) < skip + n_vertices:
             raise PlyParseError(
                 f"{path}: truncated body, expected {skip + n_vertices} data lines, "
-                f"got {len(data_lines)} ({line_of(len(data_lines))})"
+                f"got {len(data)} (line {data[-1][0] + 1 if data else len(lines) + 1})"
             )
-        rows = [l.split() for l in data_lines[skip:skip + n_vertices]]
+        data = data[skip:skip + n_vertices]
         try:
-            values = [float(tok[c]) for tok in rows for c in xyz_cols]
+            values = [float(tok[c]) for _, tok in data for c in xyz_cols]
         except (ValueError, IndexError):
             values = None
-        if values is None or set(map(len, rows)) != {len(props)} or b"_" in raw[offset:]:
+        if values is None or {len(tok) for _, tok in data} != {len(props)} or b"_" in raw[offset:]:
             # Only after a failed pass: find the first bad row, in file order.
-            for r, tok in enumerate(rows):
+            for line, tok in data:
                 if len(tok) != len(props):
                     raise PlyParseError(
                         f"{path}: vertex row has {len(tok)} values, expected "
-                        f"{len(props)} ({line_of(skip + r)})"
+                        f"{len(props)} (line {line})"
                     )
                 try:
                     if any("_" in tok[c] for c in xyz_cols):  # float() reads "1_5" as 15.0
                         raise ValueError
                     [float(tok[c]) for c in xyz_cols]
                 except ValueError:
-                    raise PlyParseError(
-                        f"{path}: non-numeric coordinate ({line_of(skip + r)})"
-                    ) from None
+                    raise PlyParseError(f"{path}: non-numeric coordinate (line {line})") from None
         pts = np.array(values, dtype=np.float64).reshape(n_vertices, 3)
         # Narrow each "property float" column so it holds exact float32 values
         # in memory; past float32 range it reads as inf, rejected below.
@@ -442,7 +432,7 @@ def load_ply(path) -> PointCloud:
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if bad.size:
         where = (
-            line_of(skip + bad[0]) if fmt == "ascii"
+            f"line {data[bad[0]][0]}" if fmt == "ascii"
             else f"byte {offset + bad[0] * record.itemsize}"
         )
         raise PlyParseError(f"{path}: non-finite coordinate ({where})")

@@ -465,6 +465,32 @@ class TestWarmNeighbors:
         warm.query_many(rows[:150])
         assert tree_rows[-1] == 150
 
+    @pytest.mark.parametrize(
+        "far, offsets",
+        [
+            # 12 steps of 1-2 mm and one home: a 24 mm path against a slack of 8 mm
+            (10.0, [(0, y, 0) for y in [1.0, -1.0] * 6] + [(0, 0, 0)]),
+            # 10^4 jitters of 1e-9 mm per axis: a path near 2e-5 mm against a slack of 1e-6 mm
+            (2.0 + 1e-6, np.random.default_rng(8).choice([-1e-9, 1e-9], (10_000, 3))),
+        ],
+        ids=["walk-and-return", "jitter"],
+    )
+    def test_settled_row_skips_the_tree(self, far, offsets):
+        # the row settles 1 mm from its nearest point and `far` from the other; each
+        # step stays close enough to where it settled that the bound proves it
+        stored = np.array([[0.0, 0, 0], [far, 0, 0]])
+        index, oracle = NeighborIndex(stored), NeighborIndex(stored)
+        tree_rows = []  # rows each call sends to the k-d tree
+        nearest_two = index._nearest_two
+        index._nearest_two = lambda pts: tree_rows.append(len(pts)) or nearest_two(pts)
+        warm = WarmNeighbors(index)
+        settled = np.array([[1.0, 0, 0]])
+        assert same_answer(warm.query_many(settled), oracle.query_many(settled))
+        for offset in offsets:
+            rows = settled + offset
+            assert same_answer(warm.query_many(rows), oracle.query_many(rows))
+        assert tree_rows == [1]
+
     def test_rows_are_copied(self):
         # the caller may move its array in place; the move from 1 to 5.5 still counts
         index = NeighborIndex(np.array([[0.0, 0, 0], [10.0, 0, 0]]))

@@ -13,8 +13,12 @@ Post-processing follows the matching chain: signed square root, then PCA.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +44,8 @@ __all__ = [
 ]
 
 _FVEC_MAGIC = b"FVEC1"
+_BLOCK = 256  # back-map columns per gemv: an (n, 256) float64 copy stays in L2 for n in the hundreds
+_BLAS_THREADS = threading.Lock()
 
 
 class FeatureLookupError(LookupError):
@@ -96,6 +102,45 @@ def _row_products(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _openblas_threads():
+    """numpy's OpenBLAS thread-count getter and setter, or None under another BLAS."""
+    try:
+        with open("/proc/self/maps") as fh:
+            lib = ctypes.CDLL(next(ln.split()[-1] for ln in fh if "libscipy_openblas64_" in ln))
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+    return get, put
+
+
+def _back_map(vectors: np.ndarray, xc: np.ndarray) -> np.ndarray:
+    """`_row_products(vectors, xc.T)`, the same bytes, a contiguous copy of `_BLOCK` columns at
+    a time, over T column spans on T threads (T: OpenBLAS's thread count, 1 meanwhile). OpenBLAS
+    sums each part's last rows mod 4 in another order: blocks keep the bits if T = 1 or 4T | d."""
+    blas, (n, d) = _openblas_threads(), xc.shape
+    with _BLAS_THREADS:
+        if blas is None or (threads := blas[0]()) > 1 and d % (4 * threads):
+            return _row_products(vectors, xc.T)
+        out, ends = np.empty((vectors.shape[0], d)), range(0, d + 1, d // threads)
+        def span(lo: int, hi: int) -> None:  # block by block, each copied contiguous first
+            buffer = np.empty(n * _BLOCK)
+            for a in range(lo, hi, _BLOCK):
+                block = buffer[: n * min(_BLOCK, hi - a)].reshape(n, -1)
+                np.copyto(block, xc[:, a : a + block.shape[1]])
+                np.matmul(vectors[:, None, :], block, out=out[:, None, a : a + block.shape[1]])
+        blas[1](1)
+        try:
+            with ThreadPoolExecutor(max(threads - 1, 1)) as pool:
+                spans = pool.map(span, ends[1:-1], ends[2:])
+                span(0, ends[1])
+                list(spans)  # a span's error raises here
+        finally:
+            blas[1](threads)
+    return out
+
+
 def _pca(xc: np.ndarray, pick_k) -> PcaModel:
     """Top-k principal axes, k = pick_k(eigenvalues up to numerical rank, desc).
 
@@ -121,7 +166,7 @@ def _pca(xc: np.ndarray, pick_k) -> PcaModel:
     if k > rank:
         raise ValueError(f"k={k} exceeds the numerical rank {rank} of the sample")
     # Each Gram eigenvector v maps back to feature space as xc.T @ v, then to unit length.
-    comps = _row_products(evecs[:, :k].T, xc.T) if gram else evecs[:, :k].T.copy()
+    comps = _back_map(evecs[:, :k].T, xc) if gram else evecs[:, :k].T.copy()
 
     # Deterministic sign: largest-magnitude entry of each component positive.
     for row in comps:

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import facepipe
+from facepipe import embedding
 from facepipe.depthmap import DepthMap, export_pgm, load_pgm, pgm_bytes
 from facepipe.embedding import (
     ExternalBackend,
+    _back_map,
     _row_products,
     FeatureFormatError,
     FeatureLookupError,
@@ -317,6 +320,15 @@ class TestPcaTransform:
             pca_transform(model, np.zeros(5))
 
 
+def python_output(code: str, override: dict) -> str:
+    """What `python -c code` prints in a new process run with this environment and `override`."""
+    src = str(Path(facepipe.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, **override}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return run.stdout.strip()
+
+
 def seeded_fit_digests(*overrides: dict) -> list[str]:
     """The digest of README's seeded 300 x 4096 `pca_fit(x, 20)`, one new process per
     environment override, each run with this environment otherwise."""
@@ -329,24 +341,30 @@ def seeded_fit_digests(*overrides: dict) -> list[str]:
         "raw = model.components.tobytes() + model.explained_variance.tobytes()\n"
         "print(hashlib.sha256(raw).hexdigest())\n"
     )
-    src = str(Path(facepipe.__file__).resolve().parent.parent)
-    digests = []
-    for override in overrides:
-        env = {**os.environ, "PYTHONPATH": src, **override}
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        digests.append(run.stdout.strip())
-    return digests
+    return [python_output(code, override) for override in overrides]
 
 
-def runs_haswell_and_sandybridge() -> bool:
-    """numpy's BLAS is OpenBLAS, and the CPU has every instruction both kernels use."""
+def numpy_blas() -> dict:
+    """numpy's build record of its BLAS, empty where numpy does not give one."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        return {}
+
+
+def runs_openblas_with(*features: str) -> bool:
+    """numpy's BLAS is OpenBLAS, and the CPU has every named instruction set."""
     try:
         from numpy._core._multiarray_umath import __cpu_features__
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except (ImportError, KeyError, TypeError):
+    except ImportError:
         return False
-    return "openblas" in blas and all(__cpu_features__.get(f) for f in ("AVX", "AVX2", "FMA3"))
+    return ("openblas" in numpy_blas().get("name", "")
+            and all(__cpu_features__.get(f) for f in features))
+
+
+README_BLAS = "0.3.31.188.0"  # the scipy-openblas build whose kernel digests README gives
+needs_haswell_and_sandybridge = pytest.mark.skipif(
+    not runs_openblas_with("AVX", "AVX2", "FMA3"), reason="needs OpenBLAS and a CPU with AVX2 and FMA3")
 
 
 class TestPcaBitwise:
@@ -393,8 +411,7 @@ class TestPcaBitwise:
         digests = seeded_fit_digests({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"})
         assert digests[0] == digests[1]
 
-    @pytest.mark.skipif(not runs_haswell_and_sandybridge(),
-                        reason="needs OpenBLAS and a CPU with AVX2 and FMA3")
+    @needs_haswell_and_sandybridge
     @pytest.mark.xfail(
         reason="OpenBLAS kernels round the Gram product differently; README names the "
         "kernel with the digests (ROADMAP: output bits across BLAS kernels)",
@@ -406,6 +423,52 @@ class TestPcaBitwise:
         digests = seeded_fit_digests({"OPENBLAS_CORETYPE": "Haswell"},
                                      {"OPENBLAS_CORETYPE": "Sandybridge"})
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("kernel, threads, digest, features", [
+        ("SkylakeX", "2", "64d5c7b76ce234c0db4199e05326e994902802a10d3b55d159328ceee4da9b80",
+         ("AVX512_SKX",)),
+        ("SkylakeX", "1", "1c2e266ec8671f2073bf9b43f661ff4e09edf1fa22f560ff3710dfb72ffc5f03",
+         ("AVX512_SKX",)),
+        ("Haswell", "2", "92f884ecf8dddca15c5c37ef4d2f3830a40241ed5fb7031a10b7af9af5617a67",
+         ("AVX", "AVX2", "FMA3")),
+        ("Sandybridge", "2", "959dd9c7350c19bf60a02d384d4ebd5b1970846259f8b5ffbea3f9fd28774a7e",
+         ("AVX",)),
+    ], ids=["SkylakeX-2-threads", "SkylakeX-1-thread", "Haswell", "Sandybridge"])
+    def test_readme_fit_digests(self, kernel, threads, digest, features):
+        if numpy_blas().get("version") != README_BLAS:
+            pytest.skip(f"README's digests are of scipy-openblas {README_BLAS}")
+        if not runs_openblas_with(*features):
+            pytest.skip(f"the CPU lacks the {kernel} kernel's instructions")
+        if (os.cpu_count() or 1) < int(threads):
+            pytest.skip(f"needs {threads} cores for {threads} BLAS threads")
+        override = {"OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": threads}
+        assert seeded_fit_digests(override) == [digest]
+
+    @pytest.mark.parametrize("override", [
+        {"OPENBLAS_NUM_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "2"},
+        {"OPENBLAS_NUM_THREADS": "4"},
+        pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, marks=needs_haswell_and_sandybridge),
+        pytest.param({"OPENBLAS_CORETYPE": "Sandybridge"}, marks=needs_haswell_and_sandybridge),
+    ], ids=["1-thread", "2-threads", "4-threads", "Haswell", "Sandybridge"])
+    def test_blocked_back_map_fits_the_bytes_of_one_call(self, override):
+        # d = 4096 takes the blocked back-map at 1, 2 and 4 BLAS threads; d = 4100 at 1 thread
+        # only, where OpenBLAS's own split of one call would give other bits than the blocks'.
+        if not runs_openblas_with():
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        code = (
+            "import numpy as np\n"
+            "from facepipe import embedding\n"
+            "blocked = embedding._back_map\n"
+            "for d in (4096, 4100):\n"
+            "    x = np.random.default_rng(d).integers(0, 65536, (300, d)) / 257\n"
+            "    new = embedding.pca_fit(x.copy(), 20).components\n"
+            "    embedding._back_map = lambda v, xc: embedding._row_products(v, xc.T)\n"
+            "    old = embedding.pca_fit(x, 20).components\n"
+            "    embedding._back_map = blocked\n"
+            "    print(d, new.tobytes() == old.tobytes())\n"
+        )
+        assert python_output(code, override).splitlines() == ["4096 True", "4100 True"]
 
 
 def back_map_loop(xc, evecs, k):
@@ -458,6 +521,91 @@ class TestRowProducts:
         lone = _row_products(xc[-1], comps)
         assert lone.shape == (k,) and lone.base is None
         assert lone.tobytes() == np.matmul(xc[-1][..., None, :], comps.T)[..., 0, :].tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), d=st.integers(1, 1100),
+           k=st.integers(1, 40))
+    @example(seed=0, n=5, d=100, k=4)  # below one block
+    @example(seed=1, n=7, d=700, k=6)  # between multiples of a block
+    @example(seed=2, n=9, d=1001, k=8)  # d not a multiple of 8: one call at two BLAS threads
+    @example(seed=3, n=300, d=50176, k=8)
+    @example(seed=4, n=330, d=50176, k=8)
+    @example(seed=5, n=466, d=4096, k=8)
+    @example(seed=6, n=300, d=4098, k=8)
+    @example(seed=7, n=120, d=50625, k=8)
+    @settings(max_examples=100, deadline=None)
+    def test_blocked_back_map(self, seed, n, d, k):
+        rng = np.random.default_rng(seed)
+        xc = rng.normal(size=(n, d))
+        vectors = rng.normal(size=(n, n))[:, : min(k, n)].T  # leading columns, as `_pca` passes
+        mapped = _back_map(vectors, xc)
+        assert mapped.base is None
+        assert mapped.tobytes() == _row_products(vectors, xc.T).tobytes()
+
+
+class TestBackMapThreads:
+    """A fit leaves OpenBLAS's thread count as it found it, and runs without the count's setter."""
+
+    @pytest.fixture
+    def thread_count(self):
+        """Sets the count for one test; gives back its getter and restores the count after."""
+        if embedding._openblas_threads() is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        get, put = embedding._openblas_threads()
+        found = get()
+
+        def set_count(threads):
+            put(threads)
+            return get
+
+        yield set_count
+        put(found)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fit_restores_the_count(self, thread_count, threads):
+        get = thread_count(threads)
+        pca_fit(np.random.default_rng(threads).normal(size=(5, 4096)), 2)
+        assert get() == threads
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_span_restores_the_count(self, thread_count, monkeypatch, threads):
+        get = thread_count(threads)
+        monkeypatch.setattr(embedding, "_BLOCK", 0)  # each span's range(lo, hi, 0) raises
+        with pytest.raises(ValueError, match="must not be zero"):
+            pca_fit(np.random.default_rng(threads).normal(size=(5, 4096)), 2)
+        assert get() == threads
+
+    def test_concurrent_fits_restore_the_count(self, thread_count, monkeypatch):
+        # a fit that started while another held the count at 1 would find 1, and restore 1
+        thread_count(2)
+        get, put = embedding._openblas_threads()
+        found = []
+
+        def get_and_record():
+            found.append(get())
+            return found[-1]
+
+        monkeypatch.setattr(embedding, "_openblas_threads", lambda: (get_and_record, put))
+        x = np.random.default_rng(0).normal(size=(6, 4096))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                fits = [pool.submit(fit_copy, x, 2) for _ in range(128)]
+                for fit in fits:
+                    assert fit.result(timeout=60).k == 2
+        finally:
+            sys.setswitchinterval(interval)
+        assert found == [2] * 128 and get() == 2
+
+    @pytest.mark.parametrize("d", [4096, 4100])
+    def test_no_setter_fits_in_one_call(self, monkeypatch, d):
+        x = np.random.default_rng(d).normal(size=(6, d))
+        expected = fit_copy(x, 3)
+        monkeypatch.setattr(embedding, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(embedding, "_BLOCK", 0)  # a blocked back-map would raise
+        model = fit_copy(x, 3)
+        assert model.components.tobytes() == expected.components.tobytes()
+        assert model.explained_variance.tobytes() == expected.explained_variance.tobytes()
 
 
 class TestBaselineBackend:

@@ -447,7 +447,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument(
             "--workers", type=int, default=os.cpu_count() or 1,
-            help="at least 1; accepted and unused, as evaluate runs on one thread"
+            help="at least 1; evaluate takes no workers; its PCA back-map runs on OpenBLAS's thread count"
             if name == "evaluate"
             else "parallel workers, at least 1 (default: number of processors)",
         )

@@ -355,19 +355,12 @@ def make_toy_model(
     typical_beta = np.sqrt((ke + 1) / 2.0 * EXPRESSION_BOUND**2 / 3.0)
     expr_norm = 1.2 * np.sqrt(n_vertices) / typical_beta
 
-    # Remove infinitesimal rigid-motion components from the deformation
-    # fields (they belong to the pose, not the shape), then orthogonalize
-    # the two bases jointly so shape and expression subspaces do not
-    # overlap (as with decorrelated statistical bases).
-    centered = mean - mean.mean(axis=0)
-    rigid = np.zeros((3 * n_vertices, 6))
-    for axis in range(3):
-        trans = np.zeros((n_vertices, 3))
-        trans[:, axis] = 1.0
-        rigid[:, axis] = trans.reshape(-1)
-        omega = np.zeros(3)
-        omega[axis] = 1.0
-        rigid[:, 3 + axis] = np.cross(np.broadcast_to(omega, centered.shape), centered).reshape(-1)
+    # Remove infinitesimal rigid motions (a translation along, then a rotation
+    # about, each axis: they belong to the pose, not the shape) from the
+    # deformation fields, then orthogonalize the two bases jointly so shape and
+    # expression subspaces do not overlap (as with decorrelated statistical bases).
+    centered, eye = mean - mean.mean(axis=0), np.eye(3)
+    rigid = np.column_stack([np.tile(eye, (n_vertices, 1)), np.cross(eye[:, None], centered).reshape(3, -1).T])
     rigid_q, _ = np.linalg.qr(rigid)
 
     # the shape fields draw first, then the expression fields, in one pass

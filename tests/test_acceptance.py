@@ -38,16 +38,14 @@ from facepipe.pointcloud import (
 )
 from facepipe.registration import rigid_icp
 
+from helpers import rotation_angle_deg
+
 
 def report(criterion: str, passed: bool, detail: str = ""):
     status = "PASS" if passed else "FAIL"
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {criterion}: {status}{suffix}")
     assert passed, f"{criterion}{suffix}"
-
-
-def rotation_angle_deg(r):
-    return np.degrees(np.arccos(np.clip((np.trace(r) - 1) / 2, -1.0, 1.0)))
 
 
 def test_criterion_1_icp_recovery():

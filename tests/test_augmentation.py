@@ -15,15 +15,7 @@ from facepipe.morphable import (
 )
 from facepipe.pointcloud import NeighborIndex
 
-
-def euler_angles_zyx(rotation):
-    """Reference inverse of rotation_zyx: angles in degrees (theta_x, theta_y, theta_z),
-    valid away from the gimbal-lock pitch of +/-90 degrees."""
-    r = np.asarray(rotation, dtype=np.float64)
-    theta_y = np.arcsin(np.clip(-r[2, 0], -1.0, 1.0))
-    theta_x = np.arctan2(r[2, 1], r[2, 2])
-    theta_z = np.arctan2(r[1, 0], r[0, 0])
-    return np.rad2deg(np.array([theta_x, theta_y, theta_z]))
+from helpers import euler_angles_zyx
 
 
 @pytest.fixture(scope="module")

@@ -3,13 +3,12 @@ and every name a module exports in `__all__`. The package root exports none."""
 
 import importlib
 import importlib.util
-import os
 import pkgutil
-import subprocess
-import sys
 from pathlib import Path
 
 import facepipe
+
+from helpers import run_python
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -51,7 +50,4 @@ def test_package_root_loads_no_submodule():
         "import facepipe\n"
         "print(facepipe.__all__, sorted(m for m in sys.modules if m.startswith('facepipe.')))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(facepipe.__file__).resolve().parent.parent)}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert run.stdout.split() == ["[]", "[]"]
+    assert run_python(code).split() == ["[]", "[]"]

@@ -6,7 +6,6 @@ import json
 import logging
 import os
 import re
-import struct
 import sys
 import tracemalloc
 from pathlib import Path
@@ -48,13 +47,9 @@ from facepipe.pointcloud import (
     save_ply,
 )
 
+from helpers import write_raw_feature_file
+
 TOY = {"n_vertices": 800, "ks": 5, "ke": 8, "seed": 21}
-
-
-def write_raw_feature_file(values, path):
-    """A feature file's bytes for any values, unchecked: for files the reader rejects."""
-    values = np.asarray(values, dtype="<f8").reshape(-1)
-    Path(path).write_bytes(b"FVEC1" + struct.pack("<Q", values.size) + values.tobytes())
 
 
 @pytest.fixture(scope="module")
@@ -1241,7 +1236,8 @@ class TestMain:
             main(["evaluate", "--help"])
         assert info.value.code == 0
         help_text = " ".join(capsys.readouterr().out.split())
-        assert "--workers WORKERS at least 1; accepted and unused, as evaluate runs on one thread" in help_text
+        assert ("--workers WORKERS at least 1; evaluate takes no workers; its PCA back-map runs on "
+                "OpenBLAS's thread count") in help_text
         with pytest.raises(SystemExit) as info:
             main(["evaluate", "g", "p", str(tmp_path / "report"), "--workers", "0"])
         assert info.value.code == 2

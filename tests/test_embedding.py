@@ -1,8 +1,9 @@
 import dataclasses
+import functools
 import hashlib
+import json
 import os
 import struct
-import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -13,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import facepipe
 from facepipe import embedding
 from facepipe.depthmap import DepthMap, export_pgm, load_pgm, pgm_bytes
 from facepipe.embedding import (
@@ -32,6 +32,8 @@ from facepipe.embedding import (
     write_feature_file,
 )
 
+from helpers import run_python, write_raw_feature_file
+
 
 def eigensolver_oracle(x):
     """Dense covariance eigendecomposition, no Gram shortcut."""
@@ -40,12 +42,6 @@ def eigensolver_oracle(x):
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     return evals[order], evecs[:, order]
-
-
-def write_raw_feature_file(values, path):
-    """A feature file's bytes for any values, unchecked: for files the reader rejects."""
-    values = np.asarray(values, dtype="<f8").reshape(-1)
-    Path(path).write_bytes(b"FVEC1" + struct.pack("<Q", values.size) + values.tobytes())
 
 
 def fit_copy(features, k):
@@ -320,28 +316,50 @@ class TestPcaTransform:
             pca_transform(model, np.zeros(5))
 
 
-def python_output(code: str, override: dict) -> str:
-    """What `python -c code` prints in a new process run with this environment and `override`."""
-    src = str(Path(facepipe.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src, **override}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    return run.stdout.strip()
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1"}
+BLAS_FACTS = """
+import hashlib, json, tempfile
+from pathlib import Path
+import numpy as np
+from facepipe import embedding
+from facepipe.morphable import make_toy_model, save_model
+sha = lambda raw: hashlib.sha256(raw).hexdigest()
+x = np.random.default_rng(7).integers(0, 65536, (300, 4096)) / 257
+model = embedding.pca_fit(x, 20)
+facts = {"fit": sha(model.components.tobytes() + model.explained_variance.tobytes()),
+         "blocked": {}, "models": {}}
+blocked = embedding._back_map
+for d in (4096, 4100):
+    x = np.random.default_rng(d).integers(0, 65536, (300, d)) / 257
+    new = embedding.pca_fit(x.copy(), 20).components
+    embedding._back_map = lambda v, xc: embedding._row_products(v, xc.T)
+    facts["blocked"][d] = new.tobytes() == embedding.pca_fit(x, 20).components.tobytes()
+    embedding._back_map = blocked
+with tempfile.TemporaryDirectory() as tmp:
+    for args in [(2000, 10, 29, 0), (1200, 10, 29, 0), (57, 3, 5, 9)]:  # tools/identity.py's
+        save_model(make_toy_model(*args), Path(tmp, "model"))
+        facts["models"]["-".join(map(str, args))] = sha(Path(tmp, "model").read_bytes())
+"""
+ROW_PRODUCTS_RERUN = f"""
+import contextlib, io, pytest
+with contextlib.redirect_stdout(io.StringIO()) as report:
+    status = pytest.main(["-q", {f'{Path(__file__).resolve()}::TestRowProducts'!r}])
+facts["row_products"] = [int(status), report.getvalue()]
+"""
 
 
-def seeded_fit_digests(*overrides: dict) -> list[str]:
-    """The digest of README's seeded 300 x 4096 `pca_fit(x, 20)`, one new process per
-    environment override, each run with this environment otherwise."""
-    code = (
-        "import hashlib\n"
-        "import numpy as np\n"
-        "from facepipe.embedding import pca_fit\n"
-        "x = np.random.default_rng(7).integers(0, 65536, (300, 4096)) / 257\n"
-        "model = pca_fit(x, 20)\n"
-        "raw = model.components.tobytes() + model.explained_variance.tobytes()\n"
-        "print(hashlib.sha256(raw).hexdigest())\n"
-    )
-    return [python_output(code, override) for override in overrides]
+def blas_facts(override: dict) -> dict:
+    """Every BLAS-dependent fact the bit contracts read, from one new process per distinct
+    environment `override`: README's seeded 300 x 4096 fit digest, the blocked back-map against
+    one call at d = 4096 and 4100, the toy models' `save_model` digests by their arguments, and
+    at `ONE_THREAD` the status and report of `TestRowProducts` run there."""
+    return _blas_facts(frozenset(override.items()))
+
+
+@functools.cache
+def _blas_facts(override: frozenset) -> dict:
+    rerun = ROW_PRODUCTS_RERUN if dict(override) == ONE_THREAD else ""
+    return json.loads(run_python(f"{BLAS_FACTS}{rerun}print(json.dumps(facts))", **dict(override)))
 
 
 def numpy_blas() -> dict:
@@ -365,6 +383,16 @@ def runs_openblas_with(*features: str) -> bool:
 README_BLAS = "0.3.31.188.0"  # the scipy-openblas build whose kernel digests README gives
 needs_haswell_and_sandybridge = pytest.mark.skipif(
     not runs_openblas_with("AVX", "AVX2", "FMA3"), reason="needs OpenBLAS and a CPU with AVX2 and FMA3")
+
+
+def skip_unless_readme_blas(kernel: str, threads: str, features: tuple) -> None:
+    """Skips unless README's scipy-openblas can run `kernel` (its CPU `features`) at `threads`."""
+    if numpy_blas().get("version") != README_BLAS:
+        pytest.skip(f"README's digests are of scipy-openblas {README_BLAS}")
+    if not runs_openblas_with(*features):
+        pytest.skip(f"the CPU lacks the {kernel} kernel's instructions")
+    if (os.cpu_count() or 1) < int(threads):
+        pytest.skip(f"needs {threads} cores for {threads} BLAS threads")
 
 
 class TestPcaBitwise:
@@ -408,8 +436,7 @@ class TestPcaBitwise:
     )
     def test_fit_bits_independent_of_blas_threads(self):
         # c7's training matrix is 300 x 50176; 300 x 4096 shows the same split
-        digests = seeded_fit_digests({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"})
-        assert digests[0] == digests[1]
+        assert blas_facts(ONE_THREAD)["fit"] == blas_facts({"OPENBLAS_NUM_THREADS": "2"})["fit"]
 
     @needs_haswell_and_sandybridge
     @pytest.mark.xfail(
@@ -420,9 +447,8 @@ class TestPcaBitwise:
     )
     def test_fit_bits_independent_of_blas_kernel(self):
         # README: 92f884ec... with Haswell, 959dd9c7... with Sandybridge
-        digests = seeded_fit_digests({"OPENBLAS_CORETYPE": "Haswell"},
-                                     {"OPENBLAS_CORETYPE": "Sandybridge"})
-        assert digests[0] == digests[1]
+        assert (blas_facts({"OPENBLAS_CORETYPE": "Haswell"})["fit"]
+                == blas_facts({"OPENBLAS_CORETYPE": "Sandybridge"})["fit"])
 
     @pytest.mark.parametrize("kernel, threads, digest, features", [
         ("SkylakeX", "2", "64d5c7b76ce234c0db4199e05326e994902802a10d3b55d159328ceee4da9b80",
@@ -435,14 +461,22 @@ class TestPcaBitwise:
          ("AVX",)),
     ], ids=["SkylakeX-2-threads", "SkylakeX-1-thread", "Haswell", "Sandybridge"])
     def test_readme_fit_digests(self, kernel, threads, digest, features):
-        if numpy_blas().get("version") != README_BLAS:
-            pytest.skip(f"README's digests are of scipy-openblas {README_BLAS}")
-        if not runs_openblas_with(*features):
-            pytest.skip(f"the CPU lacks the {kernel} kernel's instructions")
-        if (os.cpu_count() or 1) < int(threads):
-            pytest.skip(f"needs {threads} cores for {threads} BLAS threads")
-        override = {"OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": threads}
-        assert seeded_fit_digests(override) == [digest]
+        skip_unless_readme_blas(kernel, threads, features)
+        assert blas_facts({"OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": threads})["fit"] == digest
+
+    @pytest.mark.parametrize("threads, default_model", [
+        ("2", "121d7dee4f11f38ddc9ff534c7842cc9351247af5bb30b3fa2937bc9b2c3be2a"),
+        ("1", "766a1a4f7437a495ecacd7cd64309db414d2fa46130b6c8495b838b8e776186a"),
+    ], ids=["SkylakeX-2-threads", "SkylakeX-1-thread"])
+    def test_toy_model_digests(self, threads, default_model):
+        # the default model's bits follow the BLAS thread count; c7's and the small one's do not
+        skip_unless_readme_blas("SkylakeX", threads, ("AVX512_SKX",))
+        models = blas_facts({"OPENBLAS_CORETYPE": "SkylakeX", "OPENBLAS_NUM_THREADS": threads})["models"]
+        assert models == {
+            "2000-10-29-0": default_model,
+            "1200-10-29-0": "8725e394afff9332b050ef5c43db6d7b07773b02173c01db5dd1eb9a1fb08e58",
+            "57-3-5-9": "058fcafafd7f0fee3bdc7502e37a018d8f547a4b8f4fa9cd9651712650c206bc",
+        }
 
     @pytest.mark.parametrize("override", [
         {"OPENBLAS_NUM_THREADS": "1"},
@@ -456,19 +490,11 @@ class TestPcaBitwise:
         # only, where OpenBLAS's own split of one call would give other bits than the blocks'.
         if not runs_openblas_with():
             pytest.skip("numpy's BLAS is not OpenBLAS")
-        code = (
-            "import numpy as np\n"
-            "from facepipe import embedding\n"
-            "blocked = embedding._back_map\n"
-            "for d in (4096, 4100):\n"
-            "    x = np.random.default_rng(d).integers(0, 65536, (300, d)) / 257\n"
-            "    new = embedding.pca_fit(x.copy(), 20).components\n"
-            "    embedding._back_map = lambda v, xc: embedding._row_products(v, xc.T)\n"
-            "    old = embedding.pca_fit(x, 20).components\n"
-            "    embedding._back_map = blocked\n"
-            "    print(d, new.tobytes() == old.tobytes())\n"
-        )
-        assert python_output(code, override).splitlines() == ["4096 True", "4100 True"]
+        assert blas_facts(override)["blocked"] == {"4096": True, "4100": True}
+
+    def test_row_products_at_one_blas_thread(self):
+        status, report = blas_facts(ONE_THREAD)["row_products"]
+        assert status == 0, report
 
 
 def back_map_loop(xc, evecs, k):

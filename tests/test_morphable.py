@@ -37,6 +37,8 @@ from facepipe.pointcloud import (
     rotation_zyx,
 )
 
+from helpers import rotation_angle_deg
+
 
 @pytest.fixture(scope="module")
 def toy():
@@ -51,10 +53,6 @@ def dense_synthesis_oracle(model, alpha, beta):
     for k, b in enumerate(beta):
         flat = flat + b * model.expr_basis[:, k]
     return flat.reshape(-1, 3)
-
-
-def rotation_angle_deg(r):
-    return np.degrees(np.arccos(np.clip((np.trace(r) - 1) / 2, -1.0, 1.0)))
 
 
 class TestSynthesize:

@@ -1,21 +1,16 @@
 import copy
 import dataclasses
-import os
 import pickle
 import re
 import struct
-import subprocess
-import sys
 import warnings
 from collections.abc import Mapping
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import facepipe
 from facepipe.depthmap import DepthMap
 from facepipe.embedding import PcaModel
 from facepipe.morphable import ModelParams, MorphableModel
@@ -35,22 +30,14 @@ from facepipe.pointcloud import (
     save_ply,
 )
 
+from helpers import euler_angles_zyx, run_python
+
 
 angles = st.tuples(*[st.floats(-180.0, 180.0)] * 3)
 shifts = st.tuples(*[st.floats(-100.0, 100.0)] * 3)
 rigid_transforms = st.builds(
     lambda a, t: RigidTransform(rotation_zyx(*a), np.array(t)), angles, shifts
 )
-
-
-def euler_angles_zyx(rotation):
-    """Reference inverse of rotation_zyx: angles in degrees (theta_x, theta_y, theta_z),
-    valid away from the gimbal-lock pitch of +/-90 degrees."""
-    r = np.asarray(rotation, dtype=np.float64)
-    theta_y = np.arcsin(np.clip(-r[2, 0], -1.0, 1.0))
-    theta_x = np.arctan2(r[2, 1], r[2, 2])
-    theta_z = np.arctan2(r[1, 0], r[0, 0])
-    return np.rad2deg(np.array([theta_x, theta_y, theta_z]))
 
 
 def inverse(t):
@@ -332,11 +319,7 @@ class TestNeighborIndex:
             "facepipe.pointcloud.NeighborIndex([[0.0, 0.0, 0.0]])\n"
             "print(before, 'scipy.spatial' in sys.modules)\n"
         )
-        src = str(Path(facepipe.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        assert run.stdout.split() == ["False", "True"]
+        assert run_python(code).split() == ["False", "True"]
 
     def test_query_stored_point(self):
         pts = np.array([[0.0, 0, 0], [5, 0, 0], [0, 5, 0]])

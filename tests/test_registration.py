@@ -25,6 +25,8 @@ from facepipe.registration import (
     rigid_icp,
 )
 
+from helpers import rotation_angle_deg
+
 
 @pytest.fixture(scope="module")
 def toy():
@@ -44,10 +46,6 @@ def index(reference):
 @pytest.fixture(scope="module")
 def reference_nose(reference):
     return detect_nose_tip(reference)
-
-
-def rotation_angle_deg(r):
-    return np.degrees(np.arccos(np.clip((np.trace(r) - 1) / 2, -1.0, 1.0)))
 
 
 def icp_reference(source, reference, init, params):
